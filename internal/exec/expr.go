@@ -70,6 +70,59 @@ func (c ConstF) Eval(b *Batch, out *Vec) {
 	}
 }
 
+// operandVec returns e evaluated over b: a Col's input vector itself (read
+// in place, not copied), or scratch after evaluating e into it.
+func operandVec(e Expr, b *Batch, scratch *Vec) *Vec {
+	if c, ok := e.(Col); ok {
+		src := b.Vecs[c.Idx]
+		typeCheck(c.T, src.T, "column ref")
+		return src
+	}
+	e.Eval(b, scratch)
+	return scratch
+}
+
+// operand is one input of a binary primitive. Row i reads vec[i&mask]:
+// mask is -1 for a vector and 0 for a ConstI/ConstF scalar, held as a
+// one-element vector, so one loop serves every operand shape.
+type operand[T int64 | float64 | string] struct {
+	vec  []T
+	mask int
+}
+
+func intOperand(e Expr, b *Batch, scratch *Vec) operand[int64] {
+	if c, ok := e.(ConstI); ok {
+		scratch.I64 = append(scratch.I64[:0], int64(c))
+		return operand[int64]{vec: scratch.I64}
+	}
+	return operand[int64]{vec: operandVec(e, b, scratch).I64, mask: -1}
+}
+
+func floatOperand(e Expr, b *Batch, scratch *Vec) operand[float64] {
+	if c, ok := e.(ConstF); ok {
+		scratch.F64 = append(scratch.F64[:0], float64(c))
+		return operand[float64]{vec: scratch.F64}
+	}
+	return operand[float64]{vec: operandVec(e, b, scratch).F64, mask: -1}
+}
+
+func strOperand(e Expr, b *Batch, scratch *Vec) operand[string] {
+	return operand[string]{vec: operandVec(e, b, scratch).Str, mask: -1}
+}
+
+// opLen is the row count of a binary primitive over l and r: the length of
+// a vector operand, or the batch size when both are scalars.
+func opLen[T int64 | float64 | string](l, r operand[T], b *Batch) int {
+	switch {
+	case l.mask != 0:
+		return len(l.vec)
+	case r.mask != 0:
+		return len(r.vec)
+	default:
+		return b.N
+	}
+}
+
 // Arith is one of "+", "-", "*", "/" over numeric operands of equal type.
 type Arith struct {
 	Op   string
@@ -90,50 +143,48 @@ func (a *Arith) Type() storage.ColumnType { return a.L.Type() }
 
 // Eval implements Expr.
 func (a *Arith) Eval(b *Batch, out *Vec) {
-	a.L.Eval(b, &a.l)
-	a.R.Eval(b, &a.r)
 	out.Reset()
 	out.T = a.Type()
 	switch a.Type() {
 	case storage.Int64:
-		for i := range a.l.I64 {
-			var v int64
-			switch a.Op {
-			case "+":
-				v = a.l.I64[i] + a.r.I64[i]
-			case "-":
-				v = a.l.I64[i] - a.r.I64[i]
-			case "*":
-				v = a.l.I64[i] * a.r.I64[i]
-			case "/":
-				v = a.l.I64[i] / a.r.I64[i]
-			default:
-				panic("exec: bad arith op " + a.Op)
-			}
-			out.I64 = append(out.I64, v)
-		}
+		l, r := intOperand(a.L, b, &a.l), intOperand(a.R, b, &a.r)
+		out.I64 = resize(out.I64, opLen(l, r, b))
+		arith(a.Op, l, r, out.I64)
 	case storage.Float64:
-		for i := range a.l.F64 {
-			var v float64
-			switch a.Op {
-			case "+":
-				v = a.l.F64[i] + a.r.F64[i]
-			case "-":
-				v = a.l.F64[i] - a.r.F64[i]
-			case "*":
-				v = a.l.F64[i] * a.r.F64[i]
-			case "/":
-				v = a.l.F64[i] / a.r.F64[i]
-			default:
-				panic("exec: bad arith op " + a.Op)
-			}
-			out.F64 = append(out.F64, v)
+		l, r := floatOperand(a.L, b, &a.l), floatOperand(a.R, b, &a.r)
+		out.F64 = resize(out.F64, opLen(l, r, b))
+		arith(a.Op, l, r, out.F64)
+	}
+}
+
+// arith computes out = l op r, one loop per operator.
+func arith[T int64 | float64](op string, l, r operand[T], out []T) {
+	x, lm, y, rm := l.vec, l.mask, r.vec, r.mask
+	switch op {
+	case "+":
+		for i := range out {
+			out[i] = x[i&lm] + y[i&rm]
 		}
+	case "-":
+		for i := range out {
+			out[i] = x[i&lm] - y[i&rm]
+		}
+	case "*":
+		for i := range out {
+			out[i] = x[i&lm] * y[i&rm]
+		}
+	case "/":
+		for i := range out {
+			out[i] = x[i&lm] / y[i&rm]
+		}
+	default:
+		panic("exec: bad arith op " + op)
 	}
 }
 
 // Cmp compares two operands with one of "<", "<=", "==", "!=", ">=", ">",
-// yielding 0/1 int64.
+// yielding 0/1 int64. Float operands compare as a three-way comparison
+// would, so a NaN compares equal to everything.
 type Cmp struct {
 	Op   string
 	L, R Expr
@@ -153,55 +204,63 @@ func (*Cmp) Type() storage.ColumnType { return storage.Int64 }
 
 // Eval implements Expr.
 func (c *Cmp) Eval(b *Batch, out *Vec) {
-	c.L.Eval(b, &c.l)
-	c.R.Eval(b, &c.r)
 	out.Reset()
 	out.T = storage.Int64
-	n := c.l.Len()
-	for i := 0; i < n; i++ {
-		var cm int
-		switch c.l.T {
-		case storage.Int64:
-			cm = cmpOrdered(c.l.I64[i], c.r.I64[i])
-		case storage.Float64:
-			cm = cmpOrdered(c.l.F64[i], c.r.F64[i])
-		case storage.String:
-			cm = strings.Compare(c.l.Str[i], c.r.Str[i])
-		}
-		ok := false
-		switch c.Op {
-		case "<":
-			ok = cm < 0
-		case "<=":
-			ok = cm <= 0
-		case "==":
-			ok = cm == 0
-		case "!=":
-			ok = cm != 0
-		case ">=":
-			ok = cm >= 0
-		case ">":
-			ok = cm > 0
-		default:
-			panic("exec: bad cmp op " + c.Op)
-		}
-		if ok {
-			out.I64 = append(out.I64, 1)
-		} else {
-			out.I64 = append(out.I64, 0)
-		}
+	switch c.L.Type() {
+	case storage.Int64:
+		l, r := intOperand(c.L, b, &c.l), intOperand(c.R, b, &c.r)
+		out.I64 = resize(out.I64, opLen(l, r, b))
+		compare(c.Op, l, r, out.I64)
+	case storage.Float64:
+		l, r := floatOperand(c.L, b, &c.l), floatOperand(c.R, b, &c.r)
+		out.I64 = resize(out.I64, opLen(l, r, b))
+		compare(c.Op, l, r, out.I64)
+	case storage.String:
+		l, r := strOperand(c.L, b, &c.l), strOperand(c.R, b, &c.r)
+		out.I64 = resize(out.I64, opLen(l, r, b))
+		compare(c.Op, l, r, out.I64)
 	}
 }
 
-func cmpOrdered[T int64 | float64](a, b T) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
+// compare computes out = l op r as 0/1, one loop per operator. The
+// forms are those of a three-way comparison, so a NaN compares equal.
+func compare[T int64 | float64 | string](op string, l, r operand[T], out []int64) {
+	x, lm, y, rm := l.vec, l.mask, r.vec, r.mask
+	switch op {
+	case "<":
+		for i := range out {
+			out[i] = b2i(x[i&lm] < y[i&rm])
+		}
+	case "<=":
+		for i := range out {
+			out[i] = b2i(!(x[i&lm] > y[i&rm]))
+		}
+	case "==":
+		for i := range out {
+			out[i] = b2i(!(x[i&lm] < y[i&rm]) && !(x[i&lm] > y[i&rm]))
+		}
+	case "!=":
+		for i := range out {
+			out[i] = b2i(x[i&lm] < y[i&rm] || x[i&lm] > y[i&rm])
+		}
+	case ">=":
+		for i := range out {
+			out[i] = b2i(!(x[i&lm] < y[i&rm]))
+		}
+	case ">":
+		for i := range out {
+			out[i] = b2i(x[i&lm] > y[i&rm])
+		}
 	default:
-		return 0
+		panic("exec: bad cmp op " + op)
 	}
+}
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // And is a boolean conjunction of any number of 0/1 int64 operands.
@@ -221,19 +280,18 @@ func NewAnd(kids ...Expr) *And {
 // Type implements Expr.
 func (*And) Type() storage.ColumnType { return storage.Int64 }
 
-// Eval implements Expr.
+// Eval implements Expr: the first kid is evaluated straight into out and
+// the others are folded in place.
 func (a *And) Eval(b *Batch, out *Vec) {
-	out.Reset()
-	out.T = storage.Int64
-	for i := 0; i < b.N; i++ {
-		out.I64 = append(out.I64, 1)
+	if len(a.Kids) == 0 {
+		fillBool(out, b.N, 1)
+		return
 	}
-	for _, k := range a.Kids {
-		k.Eval(b, &a.tmp)
-		for i := range out.I64 {
-			if a.tmp.I64[i] == 0 {
-				out.I64[i] = 0
-			}
+	o := boolInto(a.Kids[0], b, out)
+	for _, k := range a.Kids[1:] {
+		t := operandVec(k, b, &a.tmp).I64[:len(o)]
+		for i := range o {
+			o[i] &= b2i(t[i] != 0)
 		}
 	}
 }
@@ -255,20 +313,40 @@ func NewOr(kids ...Expr) *Or {
 // Type implements Expr.
 func (*Or) Type() storage.ColumnType { return storage.Int64 }
 
-// Eval implements Expr.
+// Eval implements Expr: the first kid is evaluated straight into out and
+// the others are folded in place.
 func (o *Or) Eval(b *Batch, out *Vec) {
+	if len(o.Kids) == 0 {
+		fillBool(out, b.N, 0)
+		return
+	}
+	v := boolInto(o.Kids[0], b, out)
+	for _, k := range o.Kids[1:] {
+		t := operandVec(k, b, &o.tmp).I64[:len(v)]
+		for i := range v {
+			v[i] |= b2i(t[i] != 0)
+		}
+	}
+}
+
+// boolInto evaluates e into out, normalizes it to 0/1 and returns the
+// values.
+func boolInto(e Expr, b *Batch, out *Vec) []int64 {
+	e.Eval(b, out)
+	o := out.I64
+	for i, v := range o {
+		o[i] = b2i(v != 0)
+	}
+	return o
+}
+
+// fillBool sets out to n copies of v.
+func fillBool(out *Vec, n int, v int64) {
 	out.Reset()
 	out.T = storage.Int64
-	for i := 0; i < b.N; i++ {
-		out.I64 = append(out.I64, 0)
-	}
-	for _, k := range o.Kids {
-		k.Eval(b, &o.tmp)
-		for i := range out.I64 {
-			if o.tmp.I64[i] != 0 {
-				out.I64[i] = 1
-			}
-		}
+	out.I64 = resize(out.I64, n)
+	for i := range out.I64 {
+		out.I64[i] = v
 	}
 }
 
@@ -351,10 +429,10 @@ func (*InI64) Type() storage.ColumnType { return storage.Int64 }
 
 // Eval implements Expr.
 func (s *InI64) Eval(b *Batch, out *Vec) {
-	s.Expr.Eval(b, &s.tmp)
+	in := operandVec(s.Expr, b, &s.tmp)
 	out.Reset()
 	out.T = storage.Int64
-	for _, v := range s.tmp.I64 {
+	for _, v := range in.I64 {
 		if s.Set[v] {
 			out.I64 = append(out.I64, 1)
 		} else {

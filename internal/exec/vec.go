@@ -5,6 +5,18 @@
 // parallelism uses Exchange operators with static range partitioning
 // (§2.2, Equation 1).
 //
+// The primitives are type-specialized loops over whole column vectors;
+// no operator switches on a type or an operator per tuple:
+//   - expressions (Cmp, Arith, And, Or) dispatch on type and operator once
+//     per batch, read column operands in place, and treat a ConstI/ConstF
+//     operand as a scalar instead of broadcasting it into a vector;
+//   - Select turns its predicate into a selection vector ([]int32 of
+//     surviving positions) and copies survivors with one Vec.Gather per
+//     column; HashJoin and Sort emit their output through Gather too;
+//   - HashAggr maps each row of a batch to a dense int32 group id, then
+//     runs one typed loop per aggregate over flat state slices indexed by
+//     group id, so each group still sums its rows in input order.
+//
 // Execution happens inside the virtual-time simulation: operators charge
 // per-tuple CPU cost against a shared CPU resource, and page misses block
 // on the simulated disk, so query latency reflects both I/O and CPU as in
@@ -13,6 +25,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/storage"
 )
@@ -61,16 +74,53 @@ func (v *Vec) Reset() {
 	v.Str = v.Str[:0]
 }
 
-// AppendFrom copies value i of src onto the end of v.
-func (v *Vec) AppendFrom(src *Vec, i int) {
+// Gather sets v to the values of src at the positions in sel, in order.
+func (v *Vec) Gather(src *Vec, sel []int32) {
 	switch v.T {
 	case storage.Int64:
-		v.I64 = append(v.I64, src.I64[i])
+		v.I64 = appendSel(v.I64[:0], src.I64, sel)
 	case storage.Float64:
-		v.F64 = append(v.F64, src.F64[i])
+		v.F64 = appendSel(v.F64[:0], src.F64, sel)
 	case storage.String:
-		v.Str = append(v.Str, src.Str[i])
+		v.Str = appendSel(v.Str[:0], src.Str, sel)
 	}
+}
+
+// appendSel appends the values of src at the positions in sel onto dst.
+func appendSel[T any](dst, src []T, sel []int32) []T {
+	dst = slices.Grow(dst, len(sel))
+	for _, i := range sel {
+		dst = append(dst, src[i])
+	}
+	return dst
+}
+
+// appendVec appends the first n values of src onto the end of v.
+func (v *Vec) appendVec(src *Vec, n int) {
+	switch v.T {
+	case storage.Int64:
+		v.I64 = append(v.I64, src.I64[:n]...)
+	case storage.Float64:
+		v.F64 = append(v.F64, src.F64[:n]...)
+	case storage.String:
+		v.Str = append(v.Str, src.Str[:n]...)
+	}
+}
+
+// grow extends s by n zero values.
+func grow[T any](s []T, n int) []T {
+	s = slices.Grow(s, n)[:len(s)+n]
+	clear(s[len(s)-n:])
+	return s
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough. The contents are not preserved.
+func resize[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
 }
 
 // Batch is a set of equal-length vectors.
@@ -137,10 +187,8 @@ func Collect(op Operator) *Batch {
 	defer op.Close()
 	out := NewBatch(op.Schema())
 	for b := op.Next(); b != nil; b = op.Next() {
-		for i := 0; i < b.N; i++ {
-			for c := range out.Vecs {
-				out.Vecs[c].AppendFrom(b.Vecs[c], i)
-			}
+		for c, v := range out.Vecs {
+			v.appendVec(b.Vecs[c], b.N)
 		}
 		out.N += b.N
 	}

@@ -125,10 +125,8 @@ func (x *XChg) Open() {
 // while the consumer drains asynchronously.
 func copyBatch(schema []storage.ColumnType, b *Batch) *Batch {
 	cp := NewBatch(schema)
-	for i := 0; i < b.N; i++ {
-		for c := range cp.Vecs {
-			cp.Vecs[c].AppendFrom(b.Vecs[c], i)
-		}
+	for c, v := range cp.Vecs {
+		v.appendVec(b.Vecs[c], b.N)
 	}
 	cp.N = b.N
 	return cp

@@ -67,23 +67,42 @@ func (s *htapSys) run(fn func()) {
 	}
 }
 
-// viewImage materializes the pinned view's expected key column and
-// value sum — the ground truth a snapshot-consistent scan must return.
-func viewImage(view pdt.View) (keys []int64, vsum float64) {
+// keyVal is one scanned tuple: its key and value columns.
+type keyVal struct {
+	k int64
+	v float64
+}
+
+// sortKeyVals orders tuples by key, then by value, so two tuple multisets
+// compare pair by pair whatever order a scan delivered them in.
+func sortKeyVals(kv []keyVal) {
+	sort.Slice(kv, func(a, b int) bool {
+		if kv[a].k != kv[b].k {
+			return kv[a].k < kv[b].k
+		}
+		return kv[a].v < kv[b].v
+	})
+}
+
+// viewImage materializes the pinned view's (key, value) tuples, sorted —
+// the ground truth a snapshot-consistent scan must return.
+func viewImage(view pdt.View) []keyVal {
 	n := view.NumTuples()
+	var keys []int64
+	var vals []float64
 	if view.Deltas == nil {
 		keys = view.Stable.ReadInt64(0, 0, n, nil)
-		for _, v := range view.Stable.ReadFloat64(2, 0, n, nil) {
-			vsum += v
-		}
-		return keys, vsum
+		vals = view.Stable.ReadFloat64(2, 0, n, nil)
+	} else {
+		img := view.Deltas.Image(view.Stable)
+		keys, vals = img.I64[0], img.F64[2]
 	}
-	img := view.Deltas.Image(view.Stable)
-	keys = img.I64[0]
-	for _, v := range img.F64[2] {
-		vsum += v
+	kv := make([]keyVal, len(keys))
+	for i := range kv {
+		kv[i] = keyVal{keys[i], vals[i]}
 	}
-	return keys, vsum
+	sortKeyVals(kv)
+	return kv
 }
 
 // TestPropertyPinnedScanUnderUpdates is the HTAP snapshot-consistency
@@ -170,7 +189,7 @@ func TestPropertyPinnedScanUnderUpdates(t *testing.T) {
 							defer wg.Done()
 							for i := 0; i < 10; i++ {
 								view := store.View()
-								wantKeys, wantSum := viewImage(view)
+								want := viewImage(view)
 								ranges := []exec.RIDRange{{Lo: 0, Hi: view.NumTuples()}}
 								var op exec.Operator
 								if s.abm != nil {
@@ -184,25 +203,20 @@ func TestPropertyPinnedScanUnderUpdates(t *testing.T) {
 										g, i, res.N, view.NumTuples())
 									return
 								}
-								got := make([]int64, res.N)
-								var gotSum float64
-								for j := 0; j < res.N; j++ {
-									got[j] = res.Vecs[0].I64[j]
-									gotSum += res.Vecs[1].F64[j]
+								// Real-mode CScans deliver chunks in any order, and
+								// a float sum depends on that order: compare the
+								// sorted (key, value) tuples exactly.
+								got := make([]keyVal, res.N)
+								for j := range got {
+									got[j] = keyVal{res.Vecs[0].I64[j], res.Vecs[1].F64[j]}
 								}
-								want := append([]int64(nil), wantKeys...)
-								sort.Slice(got, func(a, b int) bool { return got[a] < got[b] })
-								sort.Slice(want, func(a, b int) bool { return want[a] < want[b] })
+								sortKeyVals(got)
 								for j := range want {
 									if got[j] != want[j] {
-										t.Errorf("scanner %d iter %d: tuple set diverged at %d: got key %d, want %d",
+										t.Errorf("scanner %d iter %d: tuple set diverged at %d: got %+v, want %+v",
 											g, i, j, got[j], want[j])
 										return
 									}
-								}
-								if gotSum != wantSum {
-									t.Errorf("scanner %d iter %d: sum(v) = %v, want %v", g, i, gotSum, wantSum)
-									return
 								}
 								s.r.Sleep(25 * time.Microsecond)
 							}
