@@ -223,27 +223,26 @@ type CScan struct {
 	// no lifecycle, the historical behavior): a cancelled owner makes
 	// GetChunk return ok=false instead of blocking, and the scheduler
 	// stops choosing this scan so no further chunks are loaded on its
-	// behalf.
+	// behalf. Set at registration and never written again, so the
+	// scheduler may read it as soon as the scan is visible.
 	qctx *rt.QueryCtx
 }
-
-// Bind attaches the owning query's lifecycle handle. Call once, right
-// after RegisterCScan, before the first GetChunk.
-func (cs *CScan) Bind(q *rt.QueryCtx) { cs.qctx = q }
 
 // SIDRange is a half-open range of stable tuple positions.
 type SIDRange struct{ Lo, Hi int64 }
 
 // RegisterCScan registers a scan over the given snapshot, columns and SID
-// ranges; the paper's RegisterCScan. inOrder requests strictly ascending
-// chunk delivery (§2.3), making the CScan a drop-in Scan replacement at
-// chunk granularity.
-func (a *ABM) RegisterCScan(snap *storage.Snapshot, cols []int, ranges []SIDRange, inOrder bool) *CScan {
+// ranges on behalf of query q (nil: no lifecycle); the paper's
+// RegisterCScan. inOrder requests strictly ascending chunk delivery
+// (§2.3), making the CScan a drop-in Scan replacement at chunk
+// granularity.
+func (a *ABM) RegisterCScan(q *rt.QueryCtx, snap *storage.Snapshot, cols []int, ranges []SIDRange, inOrder bool) *CScan {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	tm := a.tableMetaFor(snap)
 	cs := &CScan{
 		abm:     a,
+		qctx:    q,
 		tm:      tm,
 		snap:    snap,
 		cols:    cols,

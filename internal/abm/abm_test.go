@@ -51,7 +51,7 @@ func TestSingleCScanDeliversAllChunks(t *testing.T) {
 	a := newABM(eng, 1<<30)
 	var got []int
 	eng.Go("scan", func() {
-		cs := a.RegisterCScan(snap, []int{0, 1}, []SIDRange{{0, snap.NumTuples()}}, false)
+		cs := a.RegisterCScan(nil, snap, []int{0, 1}, []SIDRange{{0, snap.NumTuples()}}, false)
 		for {
 			d, ok := cs.GetChunk()
 			if !ok {
@@ -85,7 +85,7 @@ func TestInOrderDelivery(t *testing.T) {
 	a := newABM(eng, 1<<30)
 	var got []int
 	eng.Go("scan", func() {
-		cs := a.RegisterCScan(snap, []int{0}, []SIDRange{{0, snap.NumTuples()}}, true)
+		cs := a.RegisterCScan(nil, snap, []int{0}, []SIDRange{{0, snap.NumTuples()}}, true)
 		for {
 			d, ok := cs.GetChunk()
 			if !ok {
@@ -111,7 +111,7 @@ func TestRangeScanOnlyTouchesItsChunks(t *testing.T) {
 	a := newABM(eng, 1<<30)
 	var got []int
 	eng.Go("scan", func() {
-		cs := a.RegisterCScan(snap, []int{0}, []SIDRange{{8192, 16384}}, false) // chunks 2,3
+		cs := a.RegisterCScan(nil, snap, []int{0}, []SIDRange{{8192, 16384}}, false) // chunks 2,3
 		for {
 			d, ok := cs.GetChunk()
 			if !ok {
@@ -143,7 +143,7 @@ func TestSharingLoadsOnce(t *testing.T) {
 	wg := eng.NewWaitGroup()
 	scan := func() {
 		defer wg.Done()
-		cs := a.RegisterCScan(snap, []int{0, 1}, []SIDRange{{0, snap.NumTuples()}}, false)
+		cs := a.RegisterCScan(nil, snap, []int{0, 1}, []SIDRange{{0, snap.NumTuples()}}, false)
 		for {
 			d, ok := cs.GetChunk()
 			if !ok {
@@ -180,7 +180,7 @@ func TestOutOfOrderSecondScanReusesCache(t *testing.T) {
 	scan := func(collect *[]int, delay sim.Duration) {
 		defer wg.Done()
 		eng.Sleep(delay)
-		cs := a.RegisterCScan(snap, []int{0, 1}, []SIDRange{{0, snap.NumTuples()}}, false)
+		cs := a.RegisterCScan(nil, snap, []int{0, 1}, []SIDRange{{0, snap.NumTuples()}}, false)
 		for {
 			d, ok := cs.GetChunk()
 			if !ok {
@@ -249,7 +249,7 @@ func TestSharedLocalChunks(t *testing.T) {
 	wg.Add(2)
 	run := func(s *storage.Snapshot) {
 		defer wg.Done()
-		cs := a.RegisterCScan(s, []int{0}, []SIDRange{{0, s.NumTuples()}}, false)
+		cs := a.RegisterCScan(nil, s, []int{0}, []SIDRange{{0, s.NumTuples()}}, false)
 		if got := a.SharedChunkCount(s); cs.remaining > 0 && got == 0 {
 			// Before the second scan arrives there is nothing shared;
 			// after both registered the prefix must be marked. Checked
@@ -295,7 +295,7 @@ func TestVersionChangeDropsStaleMetadata(t *testing.T) {
 	eng := sim.NewEngine()
 	a := newABM(eng, 1<<30)
 	eng.Go("flow", func() {
-		cs := a.RegisterCScan(snap, []int{0}, []SIDRange{{0, snap.NumTuples()}}, false)
+		cs := a.RegisterCScan(nil, snap, []int{0}, []SIDRange{{0, snap.NumTuples()}}, false)
 		for {
 			d, ok := cs.GetChunk()
 			if !ok {
@@ -316,7 +316,7 @@ func TestVersionChangeDropsStaleMetadata(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cs2 := a.RegisterCScan(snap2, []int{0}, []SIDRange{{0, 2}}, false)
+		cs2 := a.RegisterCScan(nil, snap2, []int{0}, []SIDRange{{0, 2}}, false)
 		if len(a.tables) != 1 {
 			t.Errorf("stale table metadata kept: %d entries", len(a.tables))
 		}
@@ -341,7 +341,7 @@ func TestEvictionUnderPressure(t *testing.T) {
 	total := snap.TotalBytes([]int{0})
 	a := newABM(eng, total/4)
 	eng.Go("scan", func() {
-		cs := a.RegisterCScan(snap, []int{0}, []SIDRange{{0, snap.NumTuples()}}, false)
+		cs := a.RegisterCScan(nil, snap, []int{0}, []SIDRange{{0, snap.NumTuples()}}, false)
 		n := 0
 		for {
 			d, ok := cs.GetChunk()
@@ -379,7 +379,7 @@ func TestStarvedQueryPreferred(t *testing.T) {
 	wg.Add(2)
 	eng.Go("long", func() {
 		defer wg.Done()
-		cs := a.RegisterCScan(snap, []int{0, 1}, []SIDRange{{0, snap.NumTuples()}}, false)
+		cs := a.RegisterCScan(nil, snap, []int{0, 1}, []SIDRange{{0, snap.NumTuples()}}, false)
 		for {
 			d, ok := cs.GetChunk()
 			if !ok {
@@ -394,7 +394,7 @@ func TestStarvedQueryPreferred(t *testing.T) {
 	eng.Go("short", func() {
 		defer wg.Done()
 		eng.Sleep(5 * time.Millisecond)
-		cs := a.RegisterCScan(snap, []int{0, 1}, []SIDRange{{70000, 74096}}, false)
+		cs := a.RegisterCScan(nil, snap, []int{0, 1}, []SIDRange{{70000, 74096}}, false)
 		for {
 			d, ok := cs.GetChunk()
 			if !ok {
@@ -428,7 +428,7 @@ func TestBadRangePanics(t *testing.T) {
 				panicked = true
 			}
 		}()
-		a.RegisterCScan(snap, []int{0}, []SIDRange{{0, snap.NumTuples() + 1}}, false)
+		a.RegisterCScan(nil, snap, []int{0}, []SIDRange{{0, snap.NumTuples() + 1}}, false)
 	})
 	eng.Run()
 	if !panicked {

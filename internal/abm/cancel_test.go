@@ -28,8 +28,7 @@ func TestCancelOneOfTwoConcurrentScans(t *testing.T) {
 	scan := func(lo, hi int64, q *rt.QueryCtx, got *[]int) func() {
 		return func() {
 			defer wg.Done()
-			cs := a.RegisterCScan(snap, []int{0, 1}, []SIDRange{{lo, hi}}, false)
-			cs.Bind(q)
+			cs := a.RegisterCScan(q, snap, []int{0, 1}, []SIDRange{{lo, hi}}, false)
 			for {
 				d, ok := cs.GetChunk()
 				if !ok {
@@ -87,8 +86,7 @@ func TestCancelledScanWakesFromStarvation(t *testing.T) {
 	qc := rt.NewQueryCtx(rt.Sim(eng))
 	delivered := 0
 	eng.Go("scan", func() {
-		cs := a.RegisterCScan(snap, []int{0, 1}, []SIDRange{{0, snap.NumTuples()}}, false)
-		cs.Bind(qc)
+		cs := a.RegisterCScan(qc, snap, []int{0, 1}, []SIDRange{{0, snap.NumTuples()}}, false)
 		for {
 			d, ok := cs.GetChunk()
 			if !ok {

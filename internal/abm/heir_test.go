@@ -48,7 +48,7 @@ func TestEvictionTransfersSpanningPages(t *testing.T) {
 	// interest drains first.
 	run := func(lo, hi int64, pace sim.Duration) {
 		defer wg.Done()
-		cs := a.RegisterCScan(snap, []int{0}, []SIDRange{{lo, hi}}, false)
+		cs := a.RegisterCScan(nil, snap, []int{0}, []SIDRange{{lo, hi}}, false)
 		for {
 			d, ok := cs.GetChunk()
 			if !ok {
@@ -83,7 +83,7 @@ func TestHeirStrictlyIncreasesInterest(t *testing.T) {
 	disk := iosim.New(rt.Sim(eng), iosim.Config{Bandwidth: 1e9, SeekLatency: 10 * time.Microsecond})
 	a := New(rt.Sim(eng), disk, Config{ChunkTuples: 4096, Capacity: 1 << 30})
 	eng.Go("setup", func() {
-		cs := a.RegisterCScan(snap, []int{0}, []SIDRange{{0, 32768}}, false)
+		cs := a.RegisterCScan(nil, snap, []int{0}, []SIDRange{{0, 32768}}, false)
 		// Load everything by consuming it.
 		for {
 			d, ok := cs.GetChunk()

@@ -34,7 +34,7 @@ func TestLoadRelevancePrefersSharedInterest(t *testing.T) {
 	wg.Add(2)
 	eng.Go("b", func() {
 		defer wg.Done()
-		cs := a.RegisterCScan(snap, []int{0}, []SIDRange{{5 * 4096, 10 * 4096}}, false)
+		cs := a.RegisterCScan(nil, snap, []int{0}, []SIDRange{{5 * 4096, 10 * 4096}}, false)
 		for {
 			d, ok := cs.GetChunk()
 			if !ok {
@@ -48,7 +48,7 @@ func TestLoadRelevancePrefersSharedInterest(t *testing.T) {
 	eng.Go("a", func() {
 		defer wg.Done()
 		eng.Yield() // let B register first
-		cs := a.RegisterCScan(snap, []int{0}, []SIDRange{{0, 10 * 4096}}, false)
+		cs := a.RegisterCScan(nil, snap, []int{0}, []SIDRange{{0, 10 * 4096}}, false)
 		for {
 			d, ok := cs.GetChunk()
 			if !ok {
@@ -91,7 +91,7 @@ func TestUseRelevanceDrainsUncontestedChunksFirst(t *testing.T) {
 	wg.Add(2)
 	eng.Go("a", func() {
 		defer wg.Done()
-		cs := a.RegisterCScan(snap, []int{0}, []SIDRange{{0, snap.NumTuples()}}, false)
+		cs := a.RegisterCScan(nil, snap, []int{0}, []SIDRange{{0, snap.NumTuples()}}, false)
 		// Wait until everything is cached, then observe delivery order.
 		eng.Sleep(50 * time.Millisecond)
 		for {
@@ -107,7 +107,7 @@ func TestUseRelevanceDrainsUncontestedChunksFirst(t *testing.T) {
 	eng.Go("b", func() {
 		defer wg.Done()
 		// B is interested in chunks 2,3 only and consumes very slowly.
-		cs := a.RegisterCScan(snap, []int{0}, []SIDRange{{2 * 4096, 4 * 4096}}, false)
+		cs := a.RegisterCScan(nil, snap, []int{0}, []SIDRange{{2 * 4096, 4 * 4096}}, false)
 		eng.Sleep(200 * time.Millisecond)
 		for {
 			d, ok := cs.GetChunk()
@@ -148,7 +148,7 @@ func TestBlockedLoadsAccounting(t *testing.T) {
 		wg.Add(1)
 		eng.Go("s", func() {
 			defer wg.Done()
-			cs := a.RegisterCScan(snap, []int{0, 1}, []SIDRange{{0, snap.NumTuples()}}, false)
+			cs := a.RegisterCScan(nil, snap, []int{0, 1}, []SIDRange{{0, snap.NumTuples()}}, false)
 			for {
 				d, ok := cs.GetChunk()
 				if !ok {
@@ -184,7 +184,7 @@ func TestDeliveryPinProtocol(t *testing.T) {
 				panicked = true
 			}
 		}()
-		cs := a.RegisterCScan(snap, []int{0}, []SIDRange{{0, 8192}}, false)
+		cs := a.RegisterCScan(nil, snap, []int{0}, []SIDRange{{0, 8192}}, false)
 		d, ok := cs.GetChunk()
 		if !ok {
 			t.Error("no chunk")

@@ -657,6 +657,11 @@ func (p *Pool) get(q *rt.QueryCtx, pg *storage.Page) (*Frame, error) {
 	return f, nil
 }
 
+// realIdleLimit is how long a real-runtime reservation backs off while the
+// pool looks full with nothing pinned or loading before it declares the
+// pool overcommitted.
+const realIdleLimit = 10 * time.Second
+
 // reserve evicts victims until bytes fit within the global capacity,
 // blocking until pinned or in-flight frames become evictable when no
 // policy has a victim to offer. A reservation larger than the shard's
@@ -682,7 +687,7 @@ func (s *shard) reserve(q *rt.QueryCtx, bytes int64) error {
 	if bytes > p.capacity {
 		panic(fmt.Sprintf("buffer: request of %d bytes exceeds pool capacity %d", bytes, p.capacity))
 	}
-	idleSpins := 0
+	idleSince := rt.Time(-1) // start of the current idle back-off; -1: none
 	for p.used.Load()+bytes > p.capacity {
 		if q != nil && q.Cancelled() {
 			return ErrCancelled
@@ -693,27 +698,29 @@ func (s *shard) reserve(q *rt.QueryCtx, bytes int64) error {
 		// (the event may have made a victim available without changing
 		// any byte counter).
 		epoch := p.freeEpoch.Load()
-		if s.evictOne() {
-			idleSpins = 0
-			continue
-		}
-		if p.evictFromOthers(s) {
-			idleSpins = 0
+		if s.evictOne() || p.evictFromOthers(s) {
+			idleSince = -1
 			continue
 		}
 		if p.nPinned.Load() == 0 && p.nLoading.Load() == 0 {
 			if p.r.Real() {
 				// The counters are updated outside the shard mutexes, so a
 				// concurrent admission can be mid-flight; back off and
-				// re-check instead of declaring overcommit. Persistent
-				// emptiness means a real accounting bug: fail loudly.
-				if idleSpins++; idleSpins < 10000 {
+				// re-check instead of declaring overcommit. Emptiness that
+				// persists for realIdleLimit of wall time means a real
+				// accounting bug: fail loudly.
+				now := p.r.Now()
+				if idleSince < 0 {
+					idleSince = now
+				}
+				if rt.Duration(now-idleSince) < realIdleLimit {
 					p.r.Sleep(50 * time.Microsecond)
 					continue
 				}
 			}
 			panic(fmt.Sprintf("buffer: pool overcommitted: %d/%d bytes with nothing pinned or loading", p.used.Load(), p.capacity))
 		}
+		idleSince = -1
 		s.mu.Lock()
 		s.stats.Stalls++
 		s.mu.Unlock()

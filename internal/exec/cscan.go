@@ -102,11 +102,10 @@ func (s *CScan) Open() {
 		s.pureInserts = true
 		return
 	}
-	s.cs = s.Ctx.ABM.RegisterCScan(s.Snap, s.Cols, sids, s.InOrder)
-	// Bind the owning query before the first GetChunk: once the query is
+	// Registering on behalf of the owning query means that once it is
 	// cancelled the ABM scheduler stops loading chunks for this scan and
 	// GetChunk returns immediately.
-	s.cs.Bind(s.Ctx.Query)
+	s.cs = s.Ctx.ABM.RegisterCScan(s.Ctx.Query, s.Snap, s.Cols, sids, s.InOrder)
 }
 
 // Next implements Operator.

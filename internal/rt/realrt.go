@@ -7,14 +7,33 @@ import (
 )
 
 // NewReal returns the real-threaded runtime: processes are goroutines,
-// the clock is wall time since construction, sleeps block the OS thread's
+// the clock is wall time since construction, sleeps block the calling
 // goroutine for real durations, and events are channel broadcasts. Runs
 // are NOT reproducible — this mode exists to serve traffic as fast as the
 // hardware allows, not to regenerate figures.
+//
+// Sleeps wake within tens of microseconds of their deadline on Linux
+// (see realRT), so modeled sub-millisecond costs keep their size.
 func NewReal() Runtime {
 	return &realRT{epoch: time.Now()}
 }
 
+// realRT runs processes as goroutines on the wall clock.
+//
+// Its sleeps pay the model's costs in wall time: a 61 µs CPU burst per
+// vector, device service times, throttle pauses. time.Sleep cannot pay
+// them faithfully: when the process is otherwise idle, the netpoller
+// rounds a sub-millisecond timer up to a 1 ms epoll_wait timeout, so a
+// 61 µs burst takes about 1.07 ms. On Linux, Sleep and SleepUntil
+// therefore arm a pooled CLOCK_MONOTONIC timerfd and read it through the
+// netpoller: epoll_wait returns when the fd fires, and the sleep
+// overshoots by tens of microseconds instead of up to a millisecond.
+// The goroutine parks while it waits, holding neither an OS thread (as
+// nanosleep would) nor a CPU (as spinning to the deadline would): the
+// price of precision is two system calls and a wake-up per sleep, not a
+// core. Elsewhere, or when no
+// timerfd can be created, sleeps fall back to time.Sleep. Neither path
+// returns before the requested time.
 type realRT struct {
 	epoch time.Time
 	wg    sync.WaitGroup
@@ -37,7 +56,7 @@ func (r *realRT) Go(name string, fn func()) {
 
 func (r *realRT) Sleep(d Duration) {
 	if d > 0 {
-		time.Sleep(d)
+		preciseSleep(d)
 		return
 	}
 	runtime.Gosched()
@@ -45,7 +64,7 @@ func (r *realRT) Sleep(d Duration) {
 
 func (r *realRT) SleepUntil(t Time) {
 	if d := Duration(t - r.Now()); d > 0 {
-		time.Sleep(d)
+		preciseSleep(d)
 	}
 }
 
