@@ -44,6 +44,16 @@ import (
 	"repro/internal/server"
 )
 
+// Connection limits. A client gets readHeaderTimeout to send its request
+// headers, and an idle keep-alive connection is closed after
+// idleTimeout. There is no read or write timeout on the whole request:
+// a result stream lasts as long as its client keeps reading, and a slow
+// reader backpressures the plan instead.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
@@ -112,7 +122,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "scanserved: %v\n", err)
 		os.Exit(1)
 	}
-	hs := &http.Server{Handler: srv.Handler(), ConnContext: srv.ConnContext}
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ConnContext:       srv.ConnContext,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
 	fmt.Printf("scanserved: serving %d tuples on %s (policy=%s admission=%s mpl=%d tenants=%d)\n",

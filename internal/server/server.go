@@ -4,15 +4,22 @@
 // query deadline), and results stream back as NDJSON through a bounded
 // per-query send buffer — so a slow client backpressures through the
 // plan into XChg instead of buffering the result set in server memory.
+//
+// Each row is a JSON array whose bytes are exactly strconv's: AppendInt
+// for integers, AppendFloat(…, 'g', -1, 64) for floats, AppendQuote
+// for strings. encodeBatch writes whole-cent floats below 1e6 and
+// plain printable-ASCII strings directly, the values a lineitem scan
+// carries, and leaves everything else to strconv. Request bodies are
+// capped at maxBodyBytes; a larger one gets 413.
 package server
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -20,11 +27,14 @@ import (
 	"repro/internal/exec"
 	"repro/internal/rt"
 	"repro/internal/sched"
-	"repro/internal/storage"
 	"repro/internal/tpch"
 	"repro/internal/workload"
 	"repro/wire"
 )
+
+// maxBodyBytes bounds a request body. Query and update requests are a
+// few hundred bytes of JSON; anything near this size is not one.
+const maxBodyBytes = 1 << 20
 
 // Config parameterizes the HTTP front end.
 type Config struct {
@@ -188,14 +198,30 @@ func writeError(w http.ResponseWriter, code int, rep wire.ErrorReply) {
 	json.NewEncoder(w).Encode(rep)
 }
 
+// decodeBody decodes a JSON request body of at most maxBodyBytes into v.
+// On failure it writes the error reply — 413 for an oversized body, 400
+// for anything else — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, wire.ErrorReply{Error: fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes)})
+	} else {
+		writeError(w, http.StatusBadRequest, wire.ErrorReply{Error: "bad request body: " + err.Error()})
+	}
+	return false
+}
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return
 	}
 	var req wire.QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, wire.ErrorReply{Error: "bad request body: " + err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	kind := req.Kind
@@ -326,8 +352,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req wire.UpdateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, wire.ErrorReply{Error: "bad request body: " + err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	kindName := req.Kind
@@ -460,27 +485,4 @@ func (s *Server) stream(w http.ResponseWriter, qc *exec.QueryCtx, plan exec.Op) 
 		}
 	}
 	return rows, bytes, writeOK
-}
-
-// encodeBatch renders a batch as NDJSON rows: one JSON array per row.
-func encodeBatch(schema []storage.ColumnType, b *exec.Batch) []byte {
-	out := make([]byte, 0, b.N*16)
-	for i := 0; i < b.N; i++ {
-		out = append(out, '[')
-		for j, v := range b.Vecs {
-			if j > 0 {
-				out = append(out, ',')
-			}
-			switch schema[j] {
-			case storage.Int64:
-				out = strconv.AppendInt(out, v.I64[i], 10)
-			case storage.Float64:
-				out = strconv.AppendFloat(out, v.F64[i], 'g', -1, 64)
-			default:
-				out = strconv.AppendQuote(out, v.Str[i])
-			}
-		}
-		out = append(out, ']', '\n')
-	}
-	return out
 }

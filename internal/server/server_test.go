@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,6 +15,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/pdt"
+	"repro/internal/storage"
 	"repro/internal/tpch"
 	"repro/internal/workload"
 	"repro/wire"
@@ -437,5 +440,121 @@ func TestDrain(t *testing.T) {
 	}
 	if st.Arrived != 1 || st.Stats.Completed != 1 {
 		t.Errorf("drain polluted stats: %+v", st)
+	}
+}
+
+// TestScanRowValues checks the streamed values themselves: after an
+// insert and a modify through /v1/update, a scan over the whole loaded
+// range — plain rows and PDT rows alike — decodes with encoding/json
+// to exactly the engine's view of the same RIDs, floats bit for bit.
+func TestScanRowValues(t *testing.T) {
+	priv := tpch.Generate(0.002, 3)
+	srv := New(priv, Config{Serve: workload.DefaultServeConfig()})
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	ts.Config.ConnContext = srv.ConnContext
+	ts.Start()
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+	for _, body := range []string{`{"Kind":"insert","Batch":4}`, `{"Kind":"modify","Batch":4}`} {
+		resp, err := http.Post(ts.URL+wire.PathUpdate, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", body, resp.StatusCode)
+		}
+	}
+
+	view := srv.Engine().View()
+	if view.Deltas == nil {
+		t.Fatal("view carries no deltas after two updates")
+	}
+	n := srv.Engine().NumTuples() // a full scan covers the loaded range
+	img := view.Deltas.Image(view.Stable)
+	// Find the PDT rows inside [0, n): inserted tuples and modified
+	// stable tuples.
+	var inserted, modified int
+	var rid int64
+	for _, seg := range view.Deltas.SegmentsRID(0, view.NumTuples()) {
+		if seg.Kind == pdt.SegInsert {
+			if rid < n {
+				inserted += len(seg.Rows)
+			}
+			rid += int64(len(seg.Rows))
+			continue
+		}
+		for sid := range seg.Mods {
+			if rid+sid-seg.Lo < n {
+				modified++
+			}
+		}
+		rid += seg.Hi - seg.Lo
+	}
+	if inserted == 0 || modified == 0 {
+		t.Fatalf("scan range holds %d inserted and %d modified rows, want both", inserted, modified)
+	}
+
+	rows, tr := postQuery(t, ts, `{"Kind":"scan"}`)
+	if int64(len(rows)) != n || tr.Rows != n {
+		t.Fatalf("scan streamed %d rows (trailer %d), want %d", len(rows), tr.Rows, n)
+	}
+	schema := view.Stable.Table().Schema
+	cols := make([]int, len(scanColumns))
+	for j, name := range scanColumns {
+		cols[j] = priv.Col("lineitem", name)
+	}
+	for i, line := range rows {
+		var fields []json.RawMessage
+		if err := json.Unmarshal([]byte(line), &fields); err != nil {
+			t.Fatalf("row %d %s: %v", i, line, err)
+		}
+		if len(fields) != len(cols) {
+			t.Fatalf("row %d %s: %d columns, want %d", i, line, len(fields), len(cols))
+		}
+		for j, c := range cols {
+			switch schema[c].Type {
+			case storage.Int64:
+				var v int64
+				if err := json.Unmarshal(fields[j], &v); err != nil || v != img.I64[c][i] {
+					t.Fatalf("row %d col %s = %s (%v), want %d", i, scanColumns[j], fields[j], err, img.I64[c][i])
+				}
+			case storage.Float64:
+				var v float64
+				err := json.Unmarshal(fields[j], &v)
+				if want := img.F64[c][i]; err != nil || math.Float64bits(v) != math.Float64bits(want) {
+					t.Fatalf("row %d col %s = %s (%v), want %v", i, scanColumns[j], fields[j], err, want)
+				}
+			default:
+				var v string
+				if err := json.Unmarshal(fields[j], &v); err != nil || v != img.Str[c][i] {
+					t.Fatalf("row %d col %s = %s (%v), want %q", i, scanColumns[j], fields[j], err, img.Str[c][i])
+				}
+			}
+		}
+	}
+}
+
+// TestOversizedBody: a request body over maxBodyBytes gets 413 with an
+// ErrorReply on both POST endpoints, and the server keeps serving.
+func TestOversizedBody(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	big := `{"Kind":"q6","Pad":"` + strings.Repeat("x", 2<<20) + `"}`
+	for _, path := range []string{wire.PathQuery, wire.PathUpdate} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(big))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		var rep wire.ErrorReply
+		json.NewDecoder(resp.Body).Decode(&rep)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || rep.Error == "" {
+			t.Errorf("%s: status %d reply %+v, want 413 with error", path, resp.StatusCode, rep)
+		}
+	}
+	if _, tr := postQuery(t, ts, `{"Kind":"q6","Hi":1000}`); tr.Outcome != wire.OutcomeOK {
+		t.Fatalf("query after oversized bodies: %+v", tr)
 	}
 }

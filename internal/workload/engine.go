@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/exec"
+	"repro/internal/pdt"
 	"repro/internal/rt"
 	"repro/internal/sched"
 	"repro/internal/storage"
@@ -284,6 +285,10 @@ func (en *ServeEngine) BuildPlan(qc *exec.QueryCtx, kind string, r exec.RIDRange
 	}
 	return nil, fmt.Errorf("unknown query kind %q (want q1, q6 or scan)", kind)
 }
+
+// View pins the current (snapshot, PDT-version) view of lineitem: the
+// image a scan planned now would stream.
+func (en *ServeEngine) View() pdt.View { return en.htap.view() }
 
 // Drain stops admitting new queries; already-admitted and queued ones
 // run to completion. Poll Idle for the all-clear.
