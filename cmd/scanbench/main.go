@@ -313,12 +313,11 @@ func printServe(rows []scanshare.ServeRow, real, tsv bool) {
 }
 
 // writeServeJSON writes the sweep rows to path as a JSON array in the
-// wire schema (wire.ServeStats — field-for-field the historical ServeRow
-// names), the machine-readable counterpart of the -tsv table and the
-// same shape scanserved's /statz and scanload's -json emit. CI archives
-// it as a benchmark artifact.
+// wire schema (ServeRow is wire.ServeStats), the machine-readable
+// counterpart of the -tsv table and the same shape scanserved's /statz
+// and scanload's -json emit. CI archives it as a benchmark artifact.
 func writeServeJSON(path string, rows []scanshare.ServeRow) {
-	b, err := json.MarshalIndent(scanshare.WireRows(rows), "", "  ")
+	b, err := json.MarshalIndent(rows, "", "  ")
 	if err == nil {
 		err = os.WriteFile(path, append(b, '\n'), 0o644)
 	}

@@ -23,7 +23,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	scanshare "repro"
 	"repro/internal/exec"
 	"repro/internal/rt"
 	"repro/internal/sched"
@@ -152,31 +151,10 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 // schema plus scheduler gauges.
 func (s *Server) Statz() wire.Statz {
 	res := s.eng.Stats()
+	// Arrivals and predicates are client-driven: the server has no
+	// arrival rate and no selectivity mix of its own.
 	cfg := s.eng.Config()
-	devices := cfg.Config.Devices
-	if devices <= 0 {
-		devices = 1
-	}
-	iosched := cfg.Config.IOScheduler
-	if iosched == "" {
-		iosched = "fifo"
-	}
-	tier := "flat"
-	if cfg.Config.FastDevices > 0 {
-		tier = "tiered-rr"
-	}
-	admission := cfg.AdmissionPolicy
-	if admission == "" {
-		admission = "fifo"
-	}
-	shards := cfg.PoolShards
-	if cfg.Policy == workload.CScan {
-		shards = 0 // the ABM replaces the page pool
-	}
-	// Rate 0: arrivals are client-driven, there is no configured rate.
-	// Selectivity 1: requests carry their own predicates.
-	row := scanshare.ServeRowOf(res, 0, cfg.MPL, cfg.Policy.String(),
-		shards, devices, iosched, tier, admission, 1)
+	cfg.ArrivalRate, cfg.Selectivities = 0, nil
 	sch := s.eng.Scheduler()
 	return wire.Statz{
 		Version:       wire.Version,
@@ -188,7 +166,7 @@ func (s *Server) Statz() wire.Statz {
 		DrainRejected: res.Sched.DrainRejected,
 		NumTuples:     s.eng.NumTuples(),
 		Tenants:       s.eng.TenantCount(),
-		Stats:         row.Wire(),
+		Stats:         workload.ServeRowOf(res, cfg, ""),
 	}
 }
 
@@ -406,8 +384,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
-	applied, version, pending, err := s.eng.ApplyUpdate(kind, req.Batch)
-	tk.Done()
+	applied, version, pending, err := s.eng.ApplyUpdate(tk, kind, req.Batch)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, wire.ErrorReply{Error: err.Error()})
 		return

@@ -189,6 +189,37 @@ func TestStatzSchema(t *testing.T) {
 	}
 }
 
+// TestStatzLabels: /v1/statz derives every configuration label of its
+// row from the engine config. CScan has no page pool, so shards is 0;
+// arrivals and predicates are client-driven, so the configured arrival
+// rate and selectivity mix do not show: rate stays 0, selectivity 1.
+func TestStatzLabels(t *testing.T) {
+	_, ts := newTestServer(t, func(c *Config) {
+		c.Serve.Policy = workload.CScan
+		c.Serve.Devices = 4
+		c.Serve.IOScheduler = "elevator"
+		c.Serve.FastDevices = 2
+		c.Serve.AdmissionPolicy = "sesf"
+		c.Serve.Selectivities = []float64{0.1}
+	})
+	resp, err := http.Get(ts.URL + wire.PathStatz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st wire.Statz
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatalf("decode statz: %v", err)
+	}
+	got := st.Stats
+	if got.Policy != "CScans" || got.Shards != 0 || got.Devices != 4 ||
+		got.IOSched != "elevator" || got.Tier != "tiered-rr" || got.Admission != "sesf" ||
+		got.Rate != 0 || got.Selectivity != 1 {
+		t.Errorf("labels: policy=%q shards=%d devices=%d iosched=%q tier=%q admission=%q rate=%g sel=%g; want CScans 0 4 elevator tiered-rr sesf 0 1",
+			got.Policy, got.Shards, got.Devices, got.IOSched, got.Tier, got.Admission, got.Rate, got.Selectivity)
+	}
+}
+
 // TestClientDisconnectCancels: dropping the connection mid-stream must
 // cancel the query (client-cancel cause) and account it as Cancelled —
 // run under -race this also exercises the handler/producer teardown.

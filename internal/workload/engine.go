@@ -16,16 +16,12 @@ import (
 	"repro/internal/tpch"
 )
 
-// ServeEngine is the long-lived serving surface of the workload engine:
-// the same wiring RunServe builds per run — real runtime, disk array,
-// buffer manager, admission scheduler, zone maps, cost model — but held
-// open so a network front end can admit, plan and execute queries for
-// the life of a server process instead of one synthetic batch.
-//
-// The engine always runs on the real-threaded runtime (a server serves
-// wall-clock traffic) and always wires the zone maps, since requests
-// may carry arbitrary predicates. Methods are safe for concurrent use
-// by handler goroutines.
+// ServeEngine is the serving surface of the workload engine: the
+// runtime, disk array, buffer manager, admission scheduler, zone maps,
+// cost model and HTAP write path, held open so clients can admit, plan
+// and execute queries against it. RunServe drives one as a synthetic
+// client loop; a network front end holds one for the life of a server
+// process. Methods are safe for concurrent use by handler goroutines.
 type ServeEngine struct {
 	cfg     ServeConfig
 	db      *tpch.DB
@@ -37,12 +33,11 @@ type ServeEngine struct {
 	n       int64
 	start   rt.Time
 
-	// htap is the engine's write path, always wired (POST /v1/update must
-	// work regardless of startup flags): the PDT store anchored at the
-	// catalog's cached snapshot, the checkpoint trigger, and the merge
-	// measurement windows. Until the first update commits, every pinned
-	// view carries nil deltas and the read path is exactly the historical
-	// snapshot builder.
+	// htap is the engine's write path, always wired: the PDT store
+	// anchored at the catalog's cached snapshot, the checkpoint trigger,
+	// and the merge measurement windows. Until the first update commits,
+	// every pinned view carries nil deltas and scans read exactly the
+	// stable snapshot.
 	htap *htapState
 	// ckptWG tracks in-flight background checkpoint goroutines so Close
 	// does not stop the ABM under a running merge.
@@ -53,18 +48,28 @@ type ServeEngine struct {
 	// the idle time a server spends listening before traffic shows up.
 	firstArrive atomic.Int64
 
-	// rng draws server-side predicate windows (requests that ask for a
-	// selectivity rather than an explicit column window); guarded
-	// because handlers race.
+	// rng draws server-side predicate windows and update positions
+	// (requests that ask for a selectivity or an update kind rather than
+	// explicit values); guarded because handlers race.
 	mu  sync.Mutex
 	rng *rand.Rand
 }
 
-// NewServeEngine builds a serving engine over the generated database.
-// The embedded Config's Real flag is forced on; zero fields default as
-// in RunServe.
+// NewServeEngine builds a serving engine for a network front end. The
+// embedded Config's Real flag is forced on (a server serves wall-clock
+// traffic), and the zone maps are always built, since requests may
+// carry arbitrary predicates.
 func NewServeEngine(db *tpch.DB, cfg ServeConfig) *ServeEngine {
 	cfg.Config.Real = true
+	// The probe mix only forces the zone-map build; requests bring
+	// their own selectivities.
+	return newServeEngine(db, cfg, []float64{0.5})
+}
+
+// newServeEngine wires an engine on the runtime cfg.Real selects, with
+// zone maps when any of the selectivity mixes restricts a scan. Zero
+// fields default as in DefaultServeConfig.
+func newServeEngine(db *tpch.DB, cfg ServeConfig, mixes ...[]float64) *ServeEngine {
 	if cfg.SLO == 0 {
 		cfg.SLO = 250 * time.Millisecond
 	}
@@ -84,11 +89,7 @@ func NewServeEngine(db *tpch.DB, cfg ServeConfig) *ServeEngine {
 			weights[i] = w
 		}
 	}
-	e := newEnv(cfg.Config, MicroAccessedBytes(db))
-	// Requests carry arbitrary selectivities, so the zone maps must
-	// exist regardless of the config's own mix; the probe mix below
-	// only forces the build.
-	e.setupSkipping(db, []float64{0.5})
+	e := newEnv(db, cfg.Config, MicroAccessedBytes(db), mixes...)
 	en := &ServeEngine{
 		cfg: cfg, db: db, e: e,
 		sch: sched.New(e.rt, sched.Config{
@@ -103,6 +104,8 @@ func NewServeEngine(db *tpch.DB, cfg ServeConfig) *ServeEngine {
 		n:       db.Snapshot("lineitem").NumTuples(),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 	}
+	// Pricing a query takes the PBM mutex and averages observed speeds;
+	// skip it entirely for policies that never read the estimate.
 	if en.sch.UsesCost() {
 		en.cost = e.costModel()
 	}
@@ -205,13 +208,12 @@ func (en *ServeEngine) PriceUpdate(batch int) float64 {
 }
 
 // ApplyUpdate commits one update transaction of batch delta operations
-// of the given kind against the engine's PDT store (positions and
+// of the given kind for the admitted ticket tk (positions and
 // synthesized dates are drawn from the engine rng, inside the loaded
-// date domain), then checks the checkpoint trigger — crossing it starts
-// a background merge while reads keep serving pinned views. It returns
-// the operations applied plus the store's resulting commit epoch and
+// date domain) and resolves the ticket. It returns the operations
+// applied plus the store's resulting commit epoch and
 // uncheckpointed-op count.
-func (en *ServeEngine) ApplyUpdate(kind UpdateKind, batch int) (applied int, version, pending int64, err error) {
+func (en *ServeEngine) ApplyUpdate(tk *sched.Ticket, kind UpdateKind, batch int) (applied int, version, pending int64, err error) {
 	en.mu.Lock()
 	op := UpdateOp{
 		Kind:  kind,
@@ -226,12 +228,24 @@ func (en *ServeEngine) ApplyUpdate(kind UpdateKind, batch int) (applied int, ver
 	if op.Batch > maxUpdateBatch {
 		op.Batch = maxUpdateBatch
 	}
-	applied, err = en.htap.apply(op)
+	applied, err = en.apply(tk, op)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	en.htap.maybeCheckpoint(en.e, en.ckptWG)
 	return applied, en.htap.store.Version(), en.htap.store.Pending(), nil
+}
+
+// apply commits a drawn update op against the PDT store, resolves its
+// ticket, then checks the checkpoint trigger: crossing it starts a
+// background merge while reads keep serving pinned views.
+func (en *ServeEngine) apply(tk *sched.Ticket, op UpdateOp) (int, error) {
+	applied, err := en.htap.apply(op)
+	tk.Done()
+	if err != nil {
+		return 0, err
+	}
+	en.htap.maybeCheckpoint(en.e, en.ckptWG)
+	return applied, nil
 }
 
 // Checkpoints reports the completed background checkpoint/merge cycles.
@@ -242,7 +256,7 @@ func (en *ServeEngine) Checkpoints() int {
 
 // Admit runs the admission scheduler for q, blocking while queued. When
 // the engine's IOPriority knob is on, the query's context receives the
-// policy-derived device priority hint first, exactly as RunServe.
+// policy-derived device priority hint first.
 func (en *ServeEngine) Admit(q sched.Query) (*sched.Ticket, sched.AdmitOutcome) {
 	en.firstArrive.CompareAndSwap(0, int64(en.e.rt.Now())+1)
 	if en.cfg.IOPriority {
@@ -268,7 +282,7 @@ func (en *ServeEngine) BuildPlan(qc *exec.QueryCtx, kind string, r exec.RIDRange
 	build := en.e.wrapPred(en.db, en.e.builderView(ctx, en.db, view), pred)
 	switch kind {
 	case "q1", "q6":
-		return en.e.microPlanCtx(ctx, en.db, build, r, kind == "q1"), nil
+		return en.e.microPlan(ctx, en.db, build, r, kind == "q1"), nil
 	case "scan":
 		threads := en.cfg.ThreadsPerQuery
 		if threads <= 1 {
@@ -307,37 +321,27 @@ func (en *ServeEngine) Close() {
 	}
 }
 
-// Stats snapshots the run so far in RunServe's result shape, safe to
-// call concurrently with executing queries. Throughput and ElapsedSec
-// are measured over the serving window — first admission to now — so a
-// server that sat idle before traffic arrived reports the same numbers
-// an in-process sweep of the same workload does; before any admission
-// they fall back to the engine's lifetime.
+// Stats snapshots the run so far, safe to call concurrently with
+// executing queries. Throughput and ElapsedSec are measured over the
+// serving window — first admission to now — so a server that sat idle
+// before traffic arrived reports the same numbers an in-process sweep
+// of the same workload does; before any admission they fall back to the
+// engine's lifetime.
 func (en *ServeEngine) Stats() *ServeResult {
-	res := &ServeResult{}
-	res.Result.Policy = en.cfg.Policy.String()
-	res.Result.AccessedBytes = en.e.result.AccessedBytes
-	res.Result.BufferBytes = en.e.result.BufferBytes
-	if en.e.pool != nil {
-		res.PoolStats = en.e.pool.Stats()
-		res.TotalIOBytes = res.PoolStats.BytesLoaded
-	}
-	if en.e.abm != nil {
-		res.ABMStats = en.e.abm.Stats()
-		res.TotalIOBytes = res.ABMStats.BytesLoaded
-	}
-	if en.e.ctx.Skip != nil {
-		res.RequestedTuples, res.SkippedTuples = en.e.ctx.Skip.Counts()
-	}
-	res.DiskStats = en.e.disk.Stats()
-	now := en.e.rt.Now()
-	res.Sched = en.sch.Stats(now)
-	res.Tenants = en.sch.TenantStats(en.tenants)
-	res.Checkpoints, res.MergeP95 = en.htap.mergeStats(en.sch.Completed())
 	start := en.start
 	if fa := en.firstArrive.Load(); fa > 0 {
 		start = rt.Time(fa - 1)
 	}
+	return en.statsAt(en.e.rt.Now(), start)
+}
+
+// statsAt assembles the result as of now, with ElapsedSec counted from
+// start.
+func (en *ServeEngine) statsAt(now, start rt.Time) *ServeResult {
+	res := &ServeResult{Result: *en.e.collect()}
+	res.Sched = en.sch.Stats(now)
+	res.Tenants = en.sch.TenantStats(en.tenants)
+	res.Checkpoints, res.MergeP95 = en.htap.mergeStats(en.sch.Completed())
 	res.ElapsedSec = (now - start).Seconds()
 	return res
 }

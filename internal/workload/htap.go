@@ -77,12 +77,9 @@ type ckptWindow struct {
 	start, end sim.Time
 }
 
-// htapState is the serving run's write path: the PDT store over
+// htapState is the serving engine's write path: the PDT store over
 // lineitem, the drawn-update machinery, and the background
-// checkpoint/merge process with its measurement windows. Created only
-// when some write fraction is positive (or unconditionally by the
-// long-lived serving engine), so read-only runs keep the historical
-// engine untouched.
+// checkpoint/merge process with its measurement windows.
 type htapState struct {
 	store   *pdt.Store
 	schema  storage.Schema
@@ -108,19 +105,6 @@ type htapState struct {
 	windows     []ckptWindow
 }
 
-// hasWrites reports whether any configured write fraction is positive.
-func (cfg *ServeConfig) hasWrites() bool {
-	if cfg.WriteFrac > 0 {
-		return true
-	}
-	for _, f := range cfg.TenantWriteFrac {
-		if f > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // writeFrac resolves the effective write fraction for one tenant: an
 // explicit TenantWriteFrac entry (index = tenant id, zero allowed, so a
 // sweep can pit a write-heavy tenant against read-only ones) overrides
@@ -136,19 +120,10 @@ func (cfg *ServeConfig) writeFrac(tenant int) float64 {
 	return cfg.WriteFrac
 }
 
-// setupHTAP wires the write path when the config asks for one, nil
-// otherwise — the nil path is what keeps write-rate-0 runs bit-identical
-// to the historical read-only engine.
-func (e *env) setupHTAP(db *tpch.DB, cfg ServeConfig) *htapState {
-	if !cfg.hasWrites() {
-		return nil
-	}
-	return e.newHTAP(db, cfg)
-}
-
-// newHTAP builds the write path unconditionally: the long-lived serving
-// engine calls it directly so POST /v1/update works whether or not the
-// server was started with a write axis.
+// newHTAP builds the serving engine's write path. Every engine has one,
+// so POST /v1/update works whether or not the server was started with a
+// write axis; until the first update commits, pinned views carry no
+// deltas and scans read exactly the stable snapshot.
 func (e *env) newHTAP(db *tpch.DB, cfg ServeConfig) *htapState {
 	snap := db.Snapshot("lineitem")
 	schema := snap.Table().Schema
@@ -295,7 +270,7 @@ func (h *htapState) apply(op UpdateOp) (applied int, err error) {
 // swaps in the fresh stable snapshot — retiring the old one through the
 // invalidation hook. At most one merge runs at a time.
 func (h *htapState) maybeCheckpoint(e *env, wg rt.WaitGroup) {
-	if h == nil || h.ckptOps <= 0 || h.store.Pending() < h.ckptOps {
+	if h.ckptOps <= 0 || h.store.Pending() < h.ckptOps {
 		return
 	}
 	h.mu.Lock()
@@ -305,13 +280,9 @@ func (h *htapState) maybeCheckpoint(e *env, wg rt.WaitGroup) {
 	}
 	h.ckptRunning = true
 	h.mu.Unlock()
-	if wg != nil {
-		wg.Add(1)
-	}
+	wg.Add(1)
 	e.rt.Go("checkpoint", func() {
-		if wg != nil {
-			defer wg.Done()
-		}
+		defer wg.Done()
 		start := e.rt.Now()
 		h.store.PropagateWriteToRead()
 		e.rt.Sleep(h.mergeCost)
@@ -330,9 +301,6 @@ func (h *htapState) maybeCheckpoint(e *env, wg rt.WaitGroup) {
 // end-to-end latency of read queries whose lifetime overlapped a
 // checkpoint/merge window — the "does a merge stall scans" number.
 func (h *htapState) mergeStats(completed []sched.QueryStat) (checkpoints int, mergeP95 sim.Duration) {
-	if h == nil {
-		return 0, 0
-	}
 	h.mu.Lock()
 	windows := h.windows
 	checkpoints = h.checkpoints
@@ -352,14 +320,8 @@ func (h *htapState) mergeStats(completed []sched.QueryStat) (checkpoints int, me
 	return checkpoints, sched.Percentile(lats, 95)
 }
 
-// view pins the query's snapshot/delta pair; nil-safe for read-only
-// runs (zero View means "use the historical builder path").
-func (h *htapState) view() pdt.View {
-	if h == nil {
-		return pdt.View{}
-	}
-	return h.store.View()
-}
+// view pins the query's snapshot/delta pair.
+func (h *htapState) view() pdt.View { return h.store.View() }
 
 // clipToView clamps a drawn scan range (positioned against the loaded
 // tuple count) to the pinned view's current tuple count.
@@ -380,7 +342,7 @@ func clipToView(r exec.RIDRange, n int64) exec.RIDRange {
 func (e *env) builderView(ctx *exec.Ctx, db *tpch.DB, view pdt.View) tpch.ScanBuilder {
 	base := e.builderCtx(db, ctx)
 	return func(table string, cols []string, ranges []exec.RIDRange, inOrder bool) exec.Op {
-		if table != "lineitem" || view.Stable == nil {
+		if table != "lineitem" {
 			return base(table, cols, ranges, inOrder)
 		}
 		idx := make([]int, len(cols))

@@ -36,8 +36,7 @@ func RunMicro(db *tpch.DB, cfg Config) *Result {
 		cfg.QueriesPerStream = 16
 	}
 	accessed := MicroAccessedBytes(db)
-	e := newEnv(cfg, accessed)
-	e.setupSkipping(db, cfg.Selectivities)
+	e := newEnv(db, cfg, accessed, cfg.Selectivities)
 	build := e.builder(db)
 	n := db.Snapshot("lineitem").NumTuples()
 
@@ -55,7 +54,7 @@ func RunMicro(db *tpch.DB, cfg Config) *Result {
 				r := randRangeSkewed(rng, n, pct, cfg.HotFrac, cfg.HotProb)
 				useQ1 := rng.Intn(2) == 0
 				pred := e.pickPredicate(rng, cfg.Selectivities)
-				exec.Drain(e.microPlan(db, e.wrapPred(db, build, pred), r, useQ1))
+				exec.Drain(e.microPlan(e.ctx, db, e.wrapPred(db, build, pred), r, useQ1))
 			}
 			streamEnds[s] = e.rt.Now()
 		})
@@ -74,15 +73,10 @@ func RunMicro(db *tpch.DB, cfg Config) *Result {
 // microPlan builds a parallel Q1 or Q6 plan over the given range: the
 // range is statically partitioned per Equation 1, each partition runs the
 // scan+select+partial-aggregation subtree, and a final aggregation merges
-// them — the Figure 8 plan transformation.
-func (e *env) microPlan(db *tpch.DB, build tpch.ScanBuilder, r exec.RIDRange, useQ1 bool) exec.Op {
-	return e.microPlanCtx(e.ctx, db, build, r, useQ1)
-}
-
-// microPlanCtx is microPlan with an explicit execution context, so the
-// serving path can bind the whole plan — XChg fan-out included — to one
+// them — the Figure 8 plan transformation. The serving path passes a
+// per-query ctx, binding the whole plan — XChg fan-out included — to one
 // query's lifecycle.
-func (e *env) microPlanCtx(ctx *exec.Ctx, db *tpch.DB, build tpch.ScanBuilder, r exec.RIDRange, useQ1 bool) exec.Op {
+func (e *env) microPlan(ctx *exec.Ctx, db *tpch.DB, build tpch.ScanBuilder, r exec.RIDRange, useQ1 bool) exec.Op {
 	threads := e.cfg.ThreadsPerQuery
 	if threads <= 1 {
 		if useQ1 {

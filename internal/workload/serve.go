@@ -10,6 +10,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/tpch"
+	"repro/wire"
 )
 
 // ServeConfig parameterizes an open-loop serving run: Streams client
@@ -87,8 +88,8 @@ type ServeConfig struct {
 	// instead of scans. Writes are admitted through the same policies and
 	// MPL as reads, priced by their delta size, and reported separately
 	// (Sched.WriteCompleted / WriteThroughput). Zero — the default —
-	// builds no store and keeps the read-only path bit-identical to the
-	// historical engine.
+	// draws no updates, so the store stays empty and the read-only path
+	// is bit-identical to the historical engine.
 	WriteFrac float64
 	// TenantWriteFrac overrides WriteFrac per tenant (index = tenant id;
 	// an explicit zero entry makes that tenant read-only), so a sweep can
@@ -156,7 +157,9 @@ type ServeResult struct {
 // finishes — clients here generate queries on a Poisson arrival process
 // regardless of completion, so overload manifests as queue wait,
 // admission-queue growth, and ultimately rejections, the serving regime
-// the paper's fixed-stream experiments do not cover.
+// the paper's fixed-stream experiments do not cover. The streams are
+// synthetic clients of one ServeEngine: each prices, admits, plans and
+// executes its queries through the engine's methods.
 func RunServe(db *tpch.DB, cfg ServeConfig) *ServeResult {
 	if cfg.QueriesPerStream <= 0 {
 		cfg.QueriesPerStream = 4
@@ -164,45 +167,9 @@ func RunServe(db *tpch.DB, cfg ServeConfig) *ServeResult {
 	if cfg.ArrivalRate <= 0 {
 		cfg.ArrivalRate = 8
 	}
-	if cfg.SLO == 0 {
-		cfg.SLO = 250 * time.Millisecond
-	}
-	if cfg.PoolShards == 0 {
-		cfg.PoolShards = buffer.DefaultShards
-	}
-	tenants := cfg.Tenants
-	if tenants <= 0 {
-		tenants = DefaultTenants
-	}
-	weights := map[int]float64{}
-	for i, w := range cfg.TenantWeights {
-		if w > 0 {
-			weights[i] = w
-		}
-	}
-	accessed := MicroAccessedBytes(db)
-	e := newEnv(cfg.Config, accessed)
-	e.setupSkipping(db, append([][]float64{cfg.Selectivities}, cfg.TenantSelectivities...)...)
-	build := e.builder(db)
-	n := db.Snapshot("lineitem").NumTuples()
-	// The write path (PDT store, checkpoint process, view pinning) exists
-	// only when some write fraction is positive; read-only runs keep the
-	// historical engine untouched.
-	htap := e.setupHTAP(db, cfg)
-
-	sch := sched.New(e.rt, sched.Config{
-		MPL:           cfg.MPL,
-		QueueDepth:    cfg.QueueDepth,
-		SLO:           cfg.SLO,
-		Policy:        cfg.AdmissionPolicy,
-		TenantWeights: weights,
-	})
-	// Pricing a query takes the PBM mutex and averages observed speeds;
-	// skip it entirely for policies that never read the estimate.
-	var cost exec.ScanCostModel
-	if sch.UsesCost() {
-		cost = e.costModel()
-	}
+	en := newServeEngine(db, cfg, append([][]float64{cfg.Selectivities}, cfg.TenantSelectivities...)...)
+	cfg = en.cfg
+	e := en.e
 
 	wg := e.rt.NewWaitGroup()
 	stopSampler := e.sharingSampler()
@@ -212,7 +179,7 @@ func RunServe(db *tpch.DB, cfg ServeConfig) *ServeResult {
 	servingStart := e.rt.Now()
 	for s := 0; s < cfg.Streams; s++ {
 		s := s
-		tenant := s % tenants
+		tenant := s % en.tenants
 		mix := cfg.Selectivities
 		if tenant < len(cfg.TenantSelectivities) && len(cfg.TenantSelectivities[tenant]) > 0 {
 			mix = cfg.TenantSelectivities[tenant]
@@ -228,10 +195,12 @@ func RunServe(db *tpch.DB, cfg ServeConfig) *ServeResult {
 				// per-stream order, so the workload is identical across
 				// policies and runs regardless of execution interleaving.
 				pct := cfg.RangePercents[rng.Intn(len(cfg.RangePercents))]
-				r := randRangeSkewed(rng, n, pct, cfg.HotFrac, cfg.HotProb)
-				useQ1 := rng.Intn(2) == 0
+				r := randRangeSkewed(rng, en.n, pct, cfg.HotFrac, cfg.HotProb)
+				kind := "q6"
+				if rng.Intn(2) == 0 {
+					kind = "q1"
+				}
 				pred := e.pickPredicate(rng, mix)
-				q := q
 				// Lifecycle draws come last and only when the feature is
 				// on, so a run with Deadline == 0 and CancelRate == 0
 				// consumes exactly the historical rng sequence.
@@ -245,7 +214,7 @@ func RunServe(db *tpch.DB, cfg ServeConfig) *ServeResult {
 				}
 				var qc *exec.QueryCtx
 				if cfg.Deadline > 0 || doCancel || cfg.IOPriority {
-					qc = exec.NewQueryCtx(e.rt)
+					qc = en.NewQueryCtx()
 					if cfg.Deadline > 0 {
 						qc.SetDeadline(e.rt.Now() + sim.Time(cfg.Deadline))
 					}
@@ -263,64 +232,33 @@ func RunServe(db *tpch.DB, cfg ServeConfig) *ServeResult {
 				// draw and only on write-configured streams, so read-only
 				// runs consume exactly the historical rng sequence
 				// (golden-critical).
-				isWrite := false
+				isWrite := wf > 0 && rng.Float64() < wf
 				var upd UpdateOp
-				if htap != nil && wf > 0 {
-					isWrite = rng.Float64() < wf
-					if isWrite {
-						upd = htap.drawUpdate(rng)
-					}
+				if isWrite {
+					upd = en.htap.drawUpdate(rng)
 				}
-				// The expected-work estimate is priced at arrival from the
-				// scan's tuple count and the cost model's current speed
-				// view — the signal sesf orders the admission queue by.
-				// Predicate scans are priced skip-aware: only the tuples
-				// the zone map says survive pruning count as work; updates
-				// are priced by their delta size.
+				// The expected-work estimate is priced at arrival — the
+				// signal sesf orders the admission queue by.
 				req := sched.Query{Stream: s, Seq: q, Tenant: tenant, Ctx: qc, Write: isWrite}
-				if cost != nil {
-					if isWrite {
-						req.Cost = cost.EstimateScanTime(int64(upd.Batch)).Seconds()
-					} else {
-						req.Cost = cost.EstimateScanTime(e.survivingTuples(r, pred)).Seconds()
-					}
-				}
-				if cfg.IOPriority {
-					qc.SetPriority(ioPriority(cfg.AdmissionPolicy, weights, tenant, req.Cost))
+				if isWrite {
+					req.Cost = en.PriceUpdate(upd.Batch)
+				} else {
+					req.Cost = en.Price(r, pred)
 				}
 				runOne := func() {
-					tk, ok := sch.AdmitQuery(req)
-					if !ok {
+					tk, outcome := en.Admit(req)
+					if outcome != sched.AdmitGranted {
 						return // rejected, timed out, or cancelled while queued
 					}
 					if isWrite {
-						if qc != nil && qc.Cancelled() {
+						if qc.Cancelled() {
 							tk.Cancel(qc.Cause())
 							return
 						}
-						htap.apply(upd)
-						tk.Done()
-						htap.maybeCheckpoint(e, wg)
+						en.apply(tk, upd)
 						return
 					}
-					var plan exec.Op
-					if htap != nil {
-						// Pin the (snapshot, PDT-version) pair at plan build:
-						// a checkpoint committing mid-scan retires the old
-						// stable snapshot but never tears this query's view.
-						view := htap.view()
-						vr := clipToView(r, view.NumTuples())
-						ctx := e.ctx
-						if qc != nil {
-							ctx = e.ctx.WithQuery(qc)
-						}
-						plan = e.microPlanCtx(ctx, db, e.wrapPred(db, e.builderView(ctx, db, view), pred), vr, useQ1)
-					} else if qc != nil {
-						ctx := e.ctx.WithQuery(qc)
-						plan = e.microPlanCtx(ctx, db, e.wrapPred(db, e.builderCtx(db, ctx), pred), r, useQ1)
-					} else {
-						plan = e.microPlan(db, e.wrapPred(db, build, pred), r, useQ1)
-					}
+					plan, _ := en.BuildPlan(qc, kind, r, pred)
 					exec.Drain(plan)
 					if qc.Cancelled() {
 						tk.Cancel(qc.Cause())
@@ -342,21 +280,15 @@ func RunServe(db *tpch.DB, cfg ServeConfig) *ServeResult {
 			}
 		})
 	}
-	res := &ServeResult{}
+	var end rt.Time
 	e.rt.Go("driver", func() {
 		wg.Wait()
+		en.Close()
 		stopSampler.Fire()
-		if e.abm != nil {
-			e.abm.Stop()
-		}
-		res.Sched = sch.Stats(e.rt.Now())
-		res.Tenants = sch.TenantStats(tenants)
-		res.ElapsedSec = (e.rt.Now() - servingStart).Seconds()
-		res.Checkpoints, res.MergeP95 = htap.mergeStats(sch.Completed())
+		end = e.rt.Now()
 	})
 	e.rt.Run()
-	res.Result = *e.finish(nil)
-	return res
+	return en.statsAt(end, servingStart)
 }
 
 // ioPriority derives a query's device-level priority hint from the
@@ -398,3 +330,92 @@ func RunCompare(db *tpch.DB, cfg ServeConfig) *CompareResult {
 	closed.ClosedLoop = true
 	return &CompareResult{Open: RunServe(db, open), Closed: RunServe(db, closed)}
 }
+
+// ServeRowOf flattens one serving result into the serve-table row, the
+// wire schema shared by `scanbench -json`, /v1/statz and scanload.
+// Every label except the tier comes from cfg, the configuration that
+// produced res: shards are 0 under CScan (the ABM replaces the page
+// pool), an empty I/O scheduler or admission policy is "fifo", and the
+// selectivity is the first entry of the predicate mix (a sweep cell
+// configures exactly one), or 1 when queries carry no predicate. The
+// tier is passed in because the config cannot tell a tiered-temp cell
+// whose profiling pass saw no heat from tiered-rr; empty derives it
+// from the config: "flat" without a fast tier, "tiered-rr" with one.
+func ServeRowOf(res *ServeResult, cfg ServeConfig, tier string) wire.ServeStats {
+	shards := cfg.PoolShards
+	if cfg.Policy == CScan {
+		shards = 0
+	}
+	devices := cfg.Devices
+	if devices <= 0 {
+		devices = 1
+	}
+	if tier == "" {
+		tier = "flat"
+		if cfg.FastDevices > 0 {
+			tier = "tiered-rr"
+		}
+	}
+	sel := 1.0
+	if len(cfg.Selectivities) > 0 {
+		sel = cfg.Selectivities[0]
+	}
+	st := res.Sched
+	row := wire.ServeStats{
+		Rate:        cfg.ArrivalRate,
+		MPL:         cfg.MPL,
+		Policy:      cfg.Policy.String(),
+		Shards:      shards,
+		Devices:     devices,
+		IOSched:     orFIFO(cfg.IOScheduler),
+		Tier:        tier,
+		Admission:   orFIFO(cfg.AdmissionPolicy),
+		Completed:   st.Completed,
+		Rejected:    st.Rejected,
+		TimedOut:    st.TimedOut,
+		Cancelled:   st.Cancelled,
+		Throughput:  st.Throughput,
+		P50ms:       ms(st.Latency.P50),
+		P95ms:       ms(st.Latency.P95),
+		P99ms:       ms(st.Latency.P99),
+		QWaitP95ms:  ms(st.QueueWait.P95),
+		SLOPct:      st.SLOAttainment * 100,
+		IOMB:        mb(res.TotalIOBytes),
+		Selectivity: sel,
+		Seeks:       res.DiskStats.Seeks,
+		Skew:        1,
+		Writes:      st.WriteCompleted,
+		WrQps:       st.WriteThroughput,
+		Checkpoints: res.Checkpoints,
+		MergeP95ms:  ms(res.MergeP95),
+	}
+	if st.Arrived > 0 {
+		row.ToPct = 100 * float64(st.TimedOut) / float64(st.Arrived)
+		row.CanPct = 100 * float64(st.Cancelled) / float64(st.Arrived)
+	}
+	if res.RequestedTuples > 0 {
+		row.SkipPct = 100 * float64(res.SkippedTuples) / float64(res.RequestedTuples)
+	}
+	if res.ElapsedSec > 0 {
+		row.ReadMBps = mb(res.DiskStats.BytesRead) / res.ElapsedSec
+	}
+	if n := len(res.DiskStats.PerDevice); n > 0 && res.DiskStats.BytesRead > 0 {
+		row.Skew = float64(res.DiskStats.MaxDeviceBytes) * float64(n) / float64(res.DiskStats.BytesRead)
+	}
+	for _, ts := range res.Tenants {
+		row.TenantP95ms = append(row.TenantP95ms, ms(ts.P95))
+		row.TenantSLOPct = append(row.TenantSLOPct, ts.SLOAttainment*100)
+	}
+	return row
+}
+
+func orFIFO(name string) string {
+	if name == "" {
+		return "fifo"
+	}
+	return name
+}
+
+func ms(d time.Duration) float64 { return float64(d) / 1e6 }
+
+func mb(b int64) float64 { return float64(b) / 1e6 }

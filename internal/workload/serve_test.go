@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -234,5 +235,44 @@ func TestServeHigherMPLAdmitsMoreConcurrently(t *testing.T) {
 	if r1.Sched.Completed != r16.Sched.Completed {
 		t.Errorf("unbounded queue lost queries: %d vs %d",
 			r1.Sched.Completed, r16.Sched.Completed)
+	}
+}
+
+// TestServeRowOfLabels: every configuration label of a serve-table row
+// comes from the ServeConfig that produced it, except an explicit tier.
+func TestServeRowOfLabels(t *testing.T) {
+	res := &ServeResult{}
+	base := DefaultServeConfig()
+	base.ArrivalRate = 20
+	base.MPL = 4
+	base.PoolShards = 8
+	for _, c := range []struct {
+		name   string
+		mutate func(*ServeConfig)
+		tier   string
+		want   string
+	}{
+		{"defaults", func(*ServeConfig) {}, "",
+			"rate=20 mpl=4 pol=PBM shards=8 devs=1 iosched=fifo tier=flat adm=fifo sel=1"},
+		{"cscan-has-no-pool", func(c *ServeConfig) { c.Policy = CScan }, "",
+			"rate=20 mpl=4 pol=CScans shards=0 devs=1 iosched=fifo tier=flat adm=fifo sel=1"},
+		{"named-axes", func(c *ServeConfig) {
+			c.Devices, c.IOScheduler, c.AdmissionPolicy = 4, "elevator", "wfq"
+		}, "", "rate=20 mpl=4 pol=PBM shards=8 devs=4 iosched=elevator tier=flat adm=wfq sel=1"},
+		{"fast-tier", func(c *ServeConfig) { c.Devices, c.FastDevices = 4, 2 }, "",
+			"rate=20 mpl=4 pol=PBM shards=8 devs=4 iosched=fifo tier=tiered-rr adm=fifo sel=1"},
+		{"explicit-tier", func(c *ServeConfig) { c.Devices, c.FastDevices = 4, 2 }, "tiered-temp",
+			"rate=20 mpl=4 pol=PBM shards=8 devs=4 iosched=fifo tier=tiered-temp adm=fifo sel=1"},
+		{"one-selectivity", func(c *ServeConfig) { c.Selectivities = []float64{0.01} }, "",
+			"rate=20 mpl=4 pol=PBM shards=8 devs=1 iosched=fifo tier=flat adm=fifo sel=0.01"},
+	} {
+		cfg := base
+		c.mutate(&cfg)
+		r := ServeRowOf(res, cfg, c.tier)
+		got := fmt.Sprintf("rate=%g mpl=%d pol=%s shards=%d devs=%d iosched=%s tier=%s adm=%s sel=%v",
+			r.Rate, r.MPL, r.Policy, r.Shards, r.Devices, r.IOSched, r.Tier, r.Admission, r.Selectivity)
+		if got != c.want {
+			t.Errorf("%s:\n got %s\nwant %s", c.name, got, c.want)
+		}
 	}
 }

@@ -10,8 +10,7 @@ import (
 )
 
 // anySelective reports whether any mix entry actually restricts a scan
-// (selectivity below 1): only then is the zone-map machinery worth
-// wiring up.
+// (selectivity below 1): only then does newEnv build the zone maps.
 func anySelective(mixes ...[]float64) bool {
 	for _, mix := range mixes {
 		for _, sel := range mix {
@@ -21,26 +20,6 @@ func anySelective(mixes ...[]float64) bool {
 		}
 	}
 	return false
-}
-
-// setupSkipping builds the lineitem l_shipdate zone map — block size =
-// the ABM chunk granularity, so pruning decisions align with chunk
-// boundaries — and wires pruning and the skip counters into the
-// execution context. A no-op unless some mix entry is selective, so runs
-// without a selectivity axis stay bit-identical to the historical
-// engine. The build reads stable storage directly (no modeled I/O), the
-// way Vectorwise maintains MinMax indexes during load.
-func (e *env) setupSkipping(db *tpch.DB, mixes ...[]float64) {
-	if !anySelective(mixes...) {
-		return
-	}
-	snap := db.Snapshot("lineitem")
-	col := db.Col("lineitem", "l_shipdate")
-	e.ctx.Zones = exec.NewZoneMaps()
-	e.ctx.Skip = &exec.SkipStats{}
-	e.predIx = e.ctx.Zones.Build(snap, col, e.cfg.ChunkTuples)
-	e.predCol = col
-	e.dateMin, e.dateMax, _ = e.predIx.ValueBounds()
 }
 
 // pickPredicate draws one query's shipdate restriction from the

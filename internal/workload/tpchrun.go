@@ -54,7 +54,7 @@ func (n *nullScan) Schema() []storage.ColumnType { return n.types }
 // runs).
 func RunTPCH(db *tpch.DB, cfg Config) *Result {
 	accessed := TPCHAccessedBytes(db)
-	e := newEnv(cfg, accessed)
+	e := newEnv(db, cfg, accessed)
 	build := e.builder(db)
 	plans := tpch.Queries()
 

@@ -258,7 +258,15 @@ type env struct {
 	skipEnv
 }
 
-func newEnv(cfg Config, accessedBytes int64) *env {
+// newEnv wires the engine for cfg. When some entry of the selectivity
+// mixes restricts a scan, it also builds the lineitem l_shipdate zone
+// map — block size = the ABM chunk granularity, so pruning decisions
+// align with chunk boundaries — and wires pruning and the skip counters
+// into the execution context; without a selective mix, runs stay
+// bit-identical to the engine without data skipping. The build reads
+// stable storage directly (no modeled I/O), the way Vectorwise
+// maintains MinMax indexes during load.
+func newEnv(db *tpch.DB, cfg Config, accessedBytes int64, mixes ...[]float64) *env {
 	e := &env{cfg: cfg, result: &Result{Policy: cfg.Policy.String()}}
 	if cfg.Real {
 		e.rt = rt.NewReal()
@@ -362,6 +370,14 @@ func newEnv(cfg Config, accessedBytes int64) *env {
 		e.rec = trace.NewRecorder()
 		e.rec.Attach(e.pool)
 	}
+	if anySelective(mixes...) {
+		snap := db.Snapshot("lineitem")
+		e.predCol = db.Col("lineitem", "l_shipdate")
+		e.ctx.Zones = exec.NewZoneMaps()
+		e.ctx.Skip = &exec.SkipStats{}
+		e.predIx = e.ctx.Zones.Build(snap, e.predCol, cfg.ChunkTuples)
+		e.dateMin, e.dateMax, _ = e.predIx.ValueBounds()
+	}
 	return e
 }
 
@@ -410,11 +426,7 @@ func (e *env) builderCtx(db *tpch.DB, ctx *exec.Ctx) tpch.ScanBuilder {
 	}
 }
 
-// parallelScanPlan wraps a per-partition plan factory in an XChg per §2.2.
-func (e *env) parallel(parts []func() exec.Op) exec.Op {
-	return e.parallelCtx(e.ctx, parts)
-}
-
+// parallelCtx wraps a per-partition plan factory in an XChg per §2.2.
 func (e *env) parallelCtx(ctx *exec.Ctx, parts []func() exec.Op) exec.Op {
 	if len(parts) == 1 {
 		return parts[0]()
@@ -422,9 +434,39 @@ func (e *env) parallelCtx(ctx *exec.Ctx, parts []func() exec.Op) exec.Op {
 	return &exec.XChg{Ctx: ctx, Parts: parts}
 }
 
-// finish collects run metrics. streamEnds holds each stream's completion
-// time.
+// collect snapshots the run's metrics into a fresh Result. It leaves
+// e.result untouched, so a live engine may call it while queries run.
+func (e *env) collect() *Result {
+	r := *e.result
+	if e.pool != nil {
+		r.PoolStats = e.pool.Stats()
+		r.TotalIOBytes = r.PoolStats.BytesLoaded
+	}
+	if e.abm != nil {
+		r.ABMStats = e.abm.Stats()
+		r.TotalIOBytes = r.ABMStats.BytesLoaded
+	}
+	if e.rec != nil {
+		r.Trace = e.rec.Refs()
+	}
+	if e.ctx.Skip != nil {
+		r.RequestedTuples, r.SkippedTuples = e.ctx.Skip.Counts()
+	}
+	if e.cfg.CollectBlockHeat {
+		if e.abm != nil {
+			r.BlockHeat = e.abm.BlockHeat()
+		} else if e.pbm != nil {
+			r.BlockHeat = e.pbm.BlockHeat()
+		}
+	}
+	r.DiskStats = e.disk.Stats()
+	return &r
+}
+
+// finish collects the metrics of a finished closed-loop run. streamEnds
+// holds each stream's completion time.
 func (e *env) finish(streamEnds []sim.Time) *Result {
+	r := e.collect()
 	var sum, max sim.Time
 	for _, t := range streamEnds {
 		sum += t
@@ -433,32 +475,10 @@ func (e *env) finish(streamEnds []sim.Time) *Result {
 		}
 	}
 	if n := len(streamEnds); n > 0 {
-		e.result.AvgStreamSec = (sum / sim.Time(len(streamEnds))).Seconds()
+		r.AvgStreamSec = (sum / sim.Time(n)).Seconds()
 	}
-	e.result.MaxStreamSec = max.Seconds()
-	if e.pool != nil {
-		e.result.PoolStats = e.pool.Stats()
-		e.result.TotalIOBytes = e.pool.Stats().BytesLoaded
-	}
-	if e.abm != nil {
-		e.result.ABMStats = e.abm.Stats()
-		e.result.TotalIOBytes = e.abm.Stats().BytesLoaded
-	}
-	if e.rec != nil {
-		e.result.Trace = e.rec.Refs()
-	}
-	if e.ctx.Skip != nil {
-		e.result.RequestedTuples, e.result.SkippedTuples = e.ctx.Skip.Counts()
-	}
-	if e.cfg.CollectBlockHeat {
-		if e.abm != nil {
-			e.result.BlockHeat = e.abm.BlockHeat()
-		} else if e.pbm != nil {
-			e.result.BlockHeat = e.pbm.BlockHeat()
-		}
-	}
-	e.result.DiskStats = e.disk.Stats()
-	return e.result
+	r.MaxStreamSec = max.Seconds()
+	return r
 }
 
 // ChunkHeat folds a per-block temperature map into per-stripe-chunk heat,

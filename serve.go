@@ -7,6 +7,7 @@ import (
 	"repro/internal/iosim"
 	"repro/internal/sched"
 	"repro/internal/workload"
+	"repro/wire"
 )
 
 // Serving surface: the open-loop, many-client scenario on top of the
@@ -250,120 +251,10 @@ func (o ServeOptions) fill() ServeOptions {
 }
 
 // ServeRow is one cell of the serving sweep: a (rate, MPL, buffer
-// policy, shards, admission policy) configuration and its
-// throughput/latency report, overall and per tenant.
-type ServeRow struct {
-	Rate      float64 // per-stream arrival rate (queries/s)
-	MPL       int
-	Policy    string // buffer-management policy
-	Shards    int    // buffer-pool shard count (0 for CScan rows: no pool)
-	Devices   int    // disk-array spindle count
-	IOSched   string // device queue discipline (fifo/elevator)
-	Tier      string // array tiering (flat/tiered-rr/tiered-temp)
-	Admission string // admission policy (fifo/sesf/wfq)
-	Completed int64
-	Rejected  int64
-	// TimedOut and Cancelled count the queries resolved by the lifecycle
-	// machinery: deadline kills (queued or executing) and client
-	// cancels. Completed+Rejected+TimedOut+Cancelled covers every
-	// arrival; ToPct and CanPct are their shares of arrivals, 0..100.
-	TimedOut   int64
-	Cancelled  int64
-	ToPct      float64
-	CanPct     float64
-	Throughput float64 // completed queries per virtual second
-	P50ms      float64 // end-to-end latency percentiles (virtual ms)
-	P95ms      float64
-	P99ms      float64
-	QWaitP95ms float64 // queue-wait p95 (virtual ms)
-	SLOPct     float64 // fraction of completed queries meeting the SLO, 0..100
-	IOMB       float64
-	// Selectivity is the cell's predicate selectivity (1 = unrestricted
-	// scans); SkipPct is the fraction of requested tuples the zone maps
-	// pruned before any I/O was scheduled, 0..100.
-	Selectivity float64
-	SkipPct     float64
-	// ReadMBps is the achieved aggregate read bandwidth over the run's
-	// makespan (device bytes / elapsed), the column that makes the
-	// multi-device scaling effect measurable.
-	ReadMBps float64
-	// Seeks counts device requests that paid the seek penalty, summed
-	// over spindles — the column the elevator scheduler moves.
-	Seeks int64
-	// Skew is the busiest spindle's byte share relative to a perfect
-	// stripe balance: MaxDeviceBytes / (BytesRead / Devices). 1.00 means
-	// balanced, Devices means one spindle did all the work; 1.00 when the
-	// run transferred nothing.
-	Skew float64
-	// Writes and WrQps report the write side of a mixed cell: update
-	// queries completed and their throughput. Checkpoints counts the
-	// checkpoint/merge cycles that completed mid-run; MergeP95ms is the
-	// p95 end-to-end latency of read queries whose lifetime overlapped a
-	// merge window — the "does a merge stall scans" column.
-	Writes      int64
-	WrQps       float64
-	Checkpoints int
-	MergeP95ms  float64
-	// TenantP95ms and TenantSLOPct break p95 latency and SLO attainment
-	// down by tenant id (index = tenant), exposing what the aggregate
-	// hides: which tenant pays the overload tail under each admission
-	// policy.
-	TenantP95ms  []float64
-	TenantSLOPct []float64
-}
-
-// ServeRowOf flattens one serving result into the sweep's row shape,
-// labelled with the configuration axes of the run that produced it. The
-// sweep itself uses it; so does scanserved's /statz endpoint, which
-// exports its live ServeEngine stats in the identical row schema.
-func ServeRowOf(res *ServeResult, rate float64, mpl int, policy string, shards, devices int, iosched, tier, admission string, sel float64) ServeRow {
-	row := ServeRow{
-		Rate:        rate,
-		MPL:         mpl,
-		Policy:      policy,
-		Shards:      shards,
-		Devices:     devices,
-		IOSched:     iosched,
-		Tier:        tier,
-		Admission:   admission,
-		Completed:   res.Sched.Completed,
-		Rejected:    res.Sched.Rejected,
-		TimedOut:    res.Sched.TimedOut,
-		Cancelled:   res.Sched.Cancelled,
-		Throughput:  res.Sched.Throughput,
-		P50ms:       ms(res.Sched.Latency.P50),
-		P95ms:       ms(res.Sched.Latency.P95),
-		P99ms:       ms(res.Sched.Latency.P99),
-		QWaitP95ms:  ms(res.Sched.QueueWait.P95),
-		SLOPct:      res.Sched.SLOAttainment * 100,
-		IOMB:        mb(res.TotalIOBytes),
-		Selectivity: sel,
-	}
-	if res.Sched.Arrived > 0 {
-		row.ToPct = 100 * float64(res.Sched.TimedOut) / float64(res.Sched.Arrived)
-		row.CanPct = 100 * float64(res.Sched.Cancelled) / float64(res.Sched.Arrived)
-	}
-	if res.RequestedTuples > 0 {
-		row.SkipPct = 100 * float64(res.SkippedTuples) / float64(res.RequestedTuples)
-	}
-	if res.ElapsedSec > 0 {
-		row.ReadMBps = mb(res.DiskStats.BytesRead) / res.ElapsedSec
-	}
-	row.Seeks = res.DiskStats.Seeks
-	row.Writes = res.Sched.WriteCompleted
-	row.WrQps = res.Sched.WriteThroughput
-	row.Checkpoints = res.Checkpoints
-	row.MergeP95ms = ms(res.MergeP95)
-	row.Skew = 1
-	if n := len(res.DiskStats.PerDevice); n > 0 && res.DiskStats.BytesRead > 0 {
-		row.Skew = float64(res.DiskStats.MaxDeviceBytes) * float64(n) / float64(res.DiskStats.BytesRead)
-	}
-	for _, ts := range res.Tenants {
-		row.TenantP95ms = append(row.TenantP95ms, ms(ts.P95))
-		row.TenantSLOPct = append(row.TenantSLOPct, ts.SLOAttainment*100)
-	}
-	return row
-}
+// policy, shards, devices, I/O scheduler, tier, admission policy,
+// selectivity) configuration and its throughput/latency report, overall
+// and per tenant — the wire schema's serve-table row.
+type ServeRow = wire.ServeStats
 
 // validateAdmission panics on an unregistered admission-policy name,
 // naming the registered menu. Sweeps call it before the expensive data
@@ -477,8 +368,7 @@ func ServeSweep(o ServeOptions) []ServeRow {
 												cfg.Config.ChunkPlacement = iosim.TemperaturePlacement(heat, devices, fast)
 											}
 										}
-										res := workload.RunServe(db, cfg)
-										out = append(out, ServeRowOf(res, rate, mpl, pol.String(), shards, devices, iosched, tier, adm, sel))
+										out = append(out, workload.ServeRowOf(workload.RunServe(db, cfg), cfg, tier))
 									}
 								}
 							}
@@ -490,8 +380,6 @@ func ServeSweep(o ServeOptions) []ServeRow {
 	}
 	return out
 }
-
-func ms(d time.Duration) float64 { return float64(d) / 1e6 }
 
 // CompareOptions parameterizes the closed-vs-open-loop comparison
 // (cmd/scanbench -compare): one (rate, MPL, policy) point run twice over
@@ -584,10 +472,10 @@ func Compare(o CompareOptions) CompareReport {
 		cfg.SLO = o.SLO
 	}
 	res := workload.RunCompare(db, cfg)
-	row := func(r *workload.ServeResult) ServeRow {
-		return ServeRowOf(r, o.Rate, o.MPL, o.Policy.String(), o.Shards, o.Devices, "fifo", "flat", o.Admission, 1)
+	rep := CompareReport{
+		Open:   workload.ServeRowOf(res.Open, cfg, "flat"),
+		Closed: workload.ServeRowOf(res.Closed, cfg, "flat"),
 	}
-	rep := CompareReport{Open: row(res.Open), Closed: row(res.Closed)}
 	rep.GapP50ms = rep.Open.P50ms - rep.Closed.P50ms
 	rep.GapP95ms = rep.Open.P95ms - rep.Closed.P95ms
 	rep.GapP99ms = rep.Open.P99ms - rep.Closed.P99ms

@@ -3,13 +3,12 @@ package scanshare
 import (
 	"repro/internal/sched"
 	"repro/internal/workload"
-	"repro/wire"
 )
 
-// Bridges between the library surface, the scanbench command line and
-// the wire schema: the axis declaration the binaries share, the
-// ServeRow→wire.ServeStats conversion, and the arrival/percentile
-// helpers a load generator needs to reproduce the sweep's discipline.
+// Bridges between the library surface and the command lines: the axis
+// declaration the binaries share, the serving-engine and option
+// constructors, and the arrival/percentile helpers a load generator
+// needs to reproduce the sweep's discipline.
 
 // ServeAxes declares the full serving axis surface of the scanbench
 // command line once: RegisterFlags binds the flags, Parse validates,
@@ -158,55 +157,4 @@ func NewServeEngineConfig(base Options, a ServeAxes) ServeConfig {
 	// -ckptops shapes the server's checkpoint trigger.
 	cfg.CheckpointOps = a.CheckpointOps
 	return cfg
-}
-
-// Wire converts the row to its wire-schema form, the JSON shape shared
-// by `scanbench -json`, scanserved's /statz and scanload's reports.
-// The two types are field-for-field identical; this copy is where the
-// compiler enforces that the schema never drifts from the sweep row.
-func (r ServeRow) Wire() wire.ServeStats {
-	return wire.ServeStats{
-		Rate:         r.Rate,
-		MPL:          r.MPL,
-		Policy:       r.Policy,
-		Shards:       r.Shards,
-		Devices:      r.Devices,
-		IOSched:      r.IOSched,
-		Tier:         r.Tier,
-		Admission:    r.Admission,
-		Completed:    r.Completed,
-		Rejected:     r.Rejected,
-		TimedOut:     r.TimedOut,
-		Cancelled:    r.Cancelled,
-		ToPct:        r.ToPct,
-		CanPct:       r.CanPct,
-		Throughput:   r.Throughput,
-		P50ms:        r.P50ms,
-		P95ms:        r.P95ms,
-		P99ms:        r.P99ms,
-		QWaitP95ms:   r.QWaitP95ms,
-		SLOPct:       r.SLOPct,
-		IOMB:         r.IOMB,
-		Selectivity:  r.Selectivity,
-		SkipPct:      r.SkipPct,
-		ReadMBps:     r.ReadMBps,
-		Seeks:        r.Seeks,
-		Skew:         r.Skew,
-		Writes:       r.Writes,
-		WrQps:        r.WrQps,
-		Checkpoints:  r.Checkpoints,
-		MergeP95ms:   r.MergeP95ms,
-		TenantP95ms:  r.TenantP95ms,
-		TenantSLOPct: r.TenantSLOPct,
-	}
-}
-
-// WireRows converts a sweep's rows to the wire schema in one call
-// (scanbench's -json writer).
-func WireRows(rows []ServeRow) []wire.ServeStats {
-	out := make([]wire.ServeStats, len(rows))
-	for i, r := range rows {
-		out[i] = r.Wire()
-	}
-	return out
 }

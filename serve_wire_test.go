@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	scanshare "repro"
 	"repro/wire"
 )
 
@@ -14,10 +15,11 @@ import (
 // parse as, and marshal to, exactly these bytes.
 const serveStatsJSON = `{"Rate":5,"MPL":8,"Policy":"PBM","Shards":8,"Devices":4,"IOSched":"elevator","Tier":"tiered-rr","Admission":"wfq","Completed":100,"Rejected":3,"TimedOut":2,"Cancelled":1,"ToPct":1.9,"CanPct":0.9,"Throughput":42.5,"P50ms":10,"P95ms":50,"P99ms":90,"QWaitP95ms":12.5,"SLOPct":97.5,"IOMB":123.4,"Selectivity":0.1,"SkipPct":88.8,"ReadMBps":456.7,"Seeks":9,"Skew":1.25,"Writes":7,"WrQps":3.5,"Checkpoints":2,"MergeP95ms":4.25,"TenantP95ms":[40,60],"TenantSLOPct":[99,95]}`
 
-// TestServeRowWireCompat: the serve-table row marshals byte-for-byte as
-// the recorded JSON, and the wire form round-trips into itself.
+// TestServeRowWireCompat: the serve-table row is the wire type, it
+// marshals byte-for-byte as the recorded JSON, and it round-trips into
+// itself.
 func TestServeRowWireCompat(t *testing.T) {
-	row := wire.ServeStats{
+	var row scanshare.ServeRow = wire.ServeStats{
 		Rate: 5, MPL: 8, Policy: "PBM", Shards: 8, Devices: 4,
 		IOSched: "elevator", Tier: "tiered-rr", Admission: "wfq",
 		Completed: 100, Rejected: 3, TimedOut: 2, Cancelled: 1,
